@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-sarif lint-fix-check lint-lock race race-core check check-sharded obs-check check-obs-e2e bench-smoke bench-regress ci bench-runner bench bench-obs profile
+.PHONY: build test vet lint lint-sarif lint-fix-check lint-lock race race-core check check-sharded obs-check check-obs-e2e bench-smoke bench-regress bench-check ci bench-runner bench bench-obs profile
 
 build:
 	$(GO) build ./...
@@ -118,10 +118,19 @@ bench-smoke:
 bench-regress:
 	$(GO) run ./cmd/adfbench -regress
 
+# bench-check runs the benchmark's own tests. perfbench is a Go module
+# of its own, so the root `go test ./...` never reaches it: short runs of
+# every workload, fault injection into the RTI path, and a pin of the
+# benchmark world against the experiment package's default run — the
+# pin that catches a change to the broker.New or NewClassifier surfaces
+# perfbench builds on. About 4 s.
+bench-check:
+	cd perfbench && $(GO) test ./...
+
 # ci builds with -trimpath so artifacts are reproducible regardless of
 # the checkout location.
 ci: export GOFLAGS += -trimpath
-ci: build vet lint lint-lock test race obs-check check-obs-e2e check-sharded bench-smoke bench-regress
+ci: build vet lint lint-lock test bench-check race obs-check check-obs-e2e check-sharded bench-smoke bench-regress
 
 # Benchmark the campaign runner (sequential vs parallel figure
 # regeneration) and write BENCH_runner.json.

@@ -12,7 +12,7 @@
 //	adfbench -hotpath [-hotpath-out BENCH_hotpath.json] [-duration 300] [-seed 1]
 //	         [-scales 140,1k,5k,20k,50k] [-rng keyed] [-alloc-budget 2]
 //	adfbench -obs-bench [-obs-out BENCH_obs.json] [-duration 300] [-seed 1] [-force]
-//	         [-obs-budget 5]
+//	         [-scales 140,1k,5k,20k,50k] [-obs-budget 5]
 //	adfbench -regress [-regress-tol 0.25] [-obs-budget 5]
 //	         [-hotpath-out BENCH_hotpath.json] [-obs-out BENCH_obs.json]
 //	adfbench -sanitize [-duration 120] [-mobility-workers 4]   (requires -tags adfcheck)
@@ -49,7 +49,7 @@
 //
 // With -obs-bench the observability layer itself is benchmarked: the
 // hot-path throughput is measured with obs disabled and enabled at each
-// population scale and the overhead percentage is written as JSON; any
+// -scales population and the overhead percentage is written as JSON; any
 // scale exceeding -obs-budget (default 5%) fails the run after the
 // report is written. Because the overhead claim is about
 // concurrent-capable environments, -obs-bench refuses to (re)record a
@@ -159,7 +159,7 @@ func run(w io.Writer, args []string) (err error) {
 		shWorkers   = fs.Int("shard-workers", 0, "region-shard workers per simulation: 0 = classic pipeline, >= 1 = sharded (results identical at any count >= 1)")
 		rngMode     = fs.String("rng", "", `RNG stream class: "sequential" (default, the legacy bit-identical streams) or "keyed" (counter-based, order-independent); -hotpath with no -rng measures both`)
 		churnSpec   = fs.String("churn", "", `enable node churn as "leave,rejoin" per-tick probabilities (e.g. 0.02,0.3)`)
-		scales      = fs.String("scales", defaultHotpathScales, "comma-separated node counts -hotpath measures (k = thousand, m = million)")
+		scales      = fs.String("scales", defaultHotpathScales, "comma-separated node counts -hotpath and -obs-bench measure (k = thousand, m = million)")
 		allocBudget = fs.Float64("alloc-budget", 0, "fail -hotpath if any scale's steady allocs/tick exceeds this (0 = no gate)")
 		jsonOut     = fs.Bool("json", false, "benchmark the campaign runner (sequential vs parallel) and write a JSON report instead of running ablations")
 		jsonPath    = fs.String("json-out", "BENCH_runner.json", "where -json writes the report")
@@ -225,7 +225,7 @@ func run(w io.Writer, args []string) (err error) {
 		return runHotpath(w, cfg, *hotpathPath, *scales, *allocBudget)
 	}
 	if *obsBench {
-		return runObsBench(w, cfg, *obsPath, *force, *obsBudget)
+		return runObsBench(w, cfg, *obsPath, *scales, *force, *obsBudget)
 	}
 	if *regress {
 		return runRegress(w, *hotpathPath, *obsPath, *regressTol, *obsBudget)

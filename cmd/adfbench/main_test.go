@@ -133,3 +133,25 @@ func TestHotpathSkipSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestObsBenchHonoursScales checks -obs-bench measures exactly the
+// -scales points it is given, not the default scale list.
+func TestObsBenchHonoursScales(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_obs.json")
+	var b strings.Builder
+	args := []string{"-obs-bench", "-obs-out", path, "-scales", "140", "-duration", "30", "-force", "-obs-budget", "0"}
+	if err := run(&b, args); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report ObsReport
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatalf("report is not valid JSON: %v", err)
+	}
+	if len(report.Scales) != 1 || report.Scales[0].Nodes != 140 {
+		t.Fatalf("measured scales %+v, want one point of 140 nodes", report.Scales)
+	}
+}

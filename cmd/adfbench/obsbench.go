@@ -52,7 +52,7 @@ type ObsScale struct {
 }
 
 // runObsBench measures obs-disabled vs obs-enabled throughput at each
-// hotpath scale point and writes the JSON report to path. A baseline
+// -scales point and writes the JSON report to path. A baseline
 // recorded at GOMAXPROCS=1 measures a serialized scheduler, not the
 // overhead the budget is about, so the mode refuses to write one unless
 // force is set (the refusal names the flag); the report's meta block
@@ -60,7 +60,7 @@ type ObsScale struct {
 // the invocation, after writing the report, if any scale's overhead
 // percentage exceeds it — per scale, not just the max, so a small-scale
 // breach cannot hide behind a healthy average.
-func runObsBench(w io.Writer, cfg experiment.Config, path string, force bool, budget float64) error {
+func runObsBench(w io.Writer, cfg experiment.Config, path, scales string, force bool, budget float64) error {
 	if runtime.GOMAXPROCS(0) == 1 && !force {
 		return fmt.Errorf("obs-bench: refusing to record a baseline at GOMAXPROCS=1 (overhead numbers from a serialized scheduler are not comparable); rerun with -force to record anyway")
 	}
@@ -73,7 +73,7 @@ func runObsBench(w io.Writer, cfg experiment.Config, path string, force bool, bu
 		Seed:            cfg.Seed,
 		PassesPerMode:   obsBenchPasses,
 	}
-	perGroups, err := parseScales(defaultHotpathScales)
+	perGroups, err := parseScales(scales)
 	if err != nil {
 		return err
 	}

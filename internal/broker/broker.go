@@ -29,12 +29,14 @@ type Entry struct {
 	Estimated bool
 }
 
+// record is one node's DB state. A record is born by the node's first
+// report, so every stored record holds one.
 type record struct {
+	// est is nil on a broker without estimation: lastReported is then
+	// the whole belief.
 	est          estimate.PositionEstimator
 	lastReported geo.Point
-	lastReportT  float64
 	believed     Entry
-	hasReport    bool
 }
 
 // Broker is the grid broker.
@@ -56,11 +58,11 @@ type Broker struct {
 
 // New returns a broker whose Location Estimator instances are built by
 // factory. A nil factory disables estimation (the paper's "without LE"
-// configuration): the broker then believes each node's last report.
+// configuration): the broker then believes each node's last report, with
+// no per-node estimator object, and labels and counts each refresh
+// exactly as an estimate.LastKnown estimator would — Estimated set, and
+// counted by EstimatedLUs.
 func New(factory estimate.Factory) *Broker {
-	if factory == nil {
-		factory = func() estimate.PositionEstimator { return estimate.NewLastKnown() }
-	}
 	return &Broker{newEstimator: factory}
 }
 
@@ -75,7 +77,10 @@ func (b *Broker) record(node int) *record {
 	if r == nil {
 		//adf:allow hotpath — first report from a node; later ticks take
 		// the Ptr fast path.
-		r = b.records.PutPtr(node, record{est: b.newEstimator()})
+		r = b.records.PutPtr(node, record{})
+		if b.newEstimator != nil {
+			r.est = b.newEstimator()
+		}
 		obs.BrokerRecords.Inc()
 	}
 	return r
@@ -91,9 +96,9 @@ func (b *Broker) ReceiveLU(node int, t float64, p geo.Point) {
 //adf:hotpath
 func (b *Broker) receive(r *record, node int, t float64, p geo.Point) {
 	r.lastReported = p
-	r.lastReportT = t
-	r.hasReport = true
-	r.est.Observe(t, p)
+	if r.est != nil {
+		r.est.Observe(t, p)
+	}
 	r.believed = Entry{Node: node, Pos: p, Time: t, Estimated: false}
 	b.checkBelief(r)
 }
@@ -104,9 +109,10 @@ func (b *Broker) receive(r *record, node int, t float64, p geo.Point) {
 //
 //adf:hotpath
 func (b *Broker) miss(r *record, node int, t float64) (Entry, bool) {
+	// No estimator: the last report, labelled as estimate.LastKnown would.
 	pos := r.lastReported
-	estimated := false
-	if r.est.Ready() {
+	estimated := r.est == nil
+	if !estimated && r.est.Ready() {
 		pos = r.est.Predict(t)
 		estimated = true
 	}
@@ -121,7 +127,7 @@ func (b *Broker) miss(r *record, node int, t float64) (Entry, bool) {
 // the refreshed entry.
 func (b *Broker) MissLU(node int, t float64) (Entry, error) {
 	r := b.records.Ptr(node)
-	if r == nil || !r.hasReport {
+	if r == nil {
 		return Entry{}, fmt.Errorf("broker: no location on record for node %d", node)
 	}
 	e, estimated := b.miss(r, node, t)
@@ -147,7 +153,7 @@ func (b *Broker) Step(node int, t float64, p geo.Point, received bool) (Entry, b
 		return r.believed, true
 	}
 	r := b.records.Ptr(node)
-	if r == nil || !r.hasReport {
+	if r == nil {
 		return Entry{}, false
 	}
 	e, estimated := b.miss(r, node, t)
@@ -182,7 +188,7 @@ func (b *Broker) StepTally(node int, t float64, p geo.Point, received bool, tl *
 		return r.believed, true
 	}
 	r := b.records.Ptr(node)
-	if r == nil || !r.hasReport {
+	if r == nil {
 		return Entry{}, false
 	}
 	e, estimated := b.miss(r, node, t)
@@ -203,7 +209,7 @@ func (b *Broker) AddTally(tl *Tally) {
 // Location returns the broker's current belief about a node.
 func (b *Broker) Location(node int) (Entry, bool) {
 	r := b.records.Ptr(node)
-	if r == nil || !r.hasReport {
+	if r == nil {
 		return Entry{}, false
 	}
 	return r.believed, true
@@ -214,9 +220,6 @@ func (b *Broker) Location(node int) (Entry, bool) {
 func (b *Broker) Locations() []Entry {
 	out := make([]Entry, 0, b.records.Count())
 	b.records.Range(func(node int, r *record) bool {
-		if !r.hasReport {
-			return true
-		}
 		e := r.believed
 		e.Node = node
 		out = append(out, e)
@@ -234,16 +237,7 @@ func (b *Broker) Forget(node int) {
 }
 
 // NodeCount returns the number of nodes with a DB entry.
-func (b *Broker) NodeCount() int {
-	n := 0
-	b.records.Range(func(_ int, r *record) bool {
-		if r.hasReport {
-			n++
-		}
-		return true
-	})
-	return n
-}
+func (b *Broker) NodeCount() int { return b.records.Count() }
 
 // ReceivedLUs returns the number of LUs stored from the network.
 func (b *Broker) ReceivedLUs() uint64 { return b.received }

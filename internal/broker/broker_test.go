@@ -5,6 +5,7 @@ import (
 
 	"github.com/mobilegrid/adf/internal/estimate"
 	"github.com/mobilegrid/adf/internal/geo"
+	"github.com/mobilegrid/adf/internal/sim"
 )
 
 func brownFactory(t *testing.T) estimate.Factory {
@@ -153,5 +154,72 @@ func TestEstimatorIsolationBetweenNodes(t *testing.T) {
 	}
 	if e2.Pos.X > 0.5 || e2.Pos.Y < 7 {
 		t.Errorf("node 2 forecast contaminated: %v", e2.Pos)
+	}
+}
+
+// TestNoLEMatchesLastKnown holds the estimator-free "without LE" broker
+// to a broker running estimate.LastKnown: over a seeded sequence of
+// Steps (received and missed), MissLUs and Forgets, every returned
+// entry, the location DB and both counters are identical.
+func TestNoLEMatchesLastKnown(t *testing.T) {
+	noLE := New(nil)
+	lastKnown := New(func() estimate.PositionEstimator { return estimate.NewLastKnown() })
+	rng := sim.NewRNG(11)
+	const nodes = 12
+	for i := 0; i < 5000; i++ {
+		node := rng.Intn(nodes)
+		tm := float64(i / nodes)
+		p := geo.Point{X: rng.Uniform(-50, 50), Y: rng.Uniform(-50, 50)}
+		switch r := rng.Float64(); {
+		case r < 0.02:
+			noLE.Forget(node)
+			lastKnown.Forget(node)
+		case r < 0.1:
+			got, gerr := noLE.MissLU(node, tm)
+			want, werr := lastKnown.MissLU(node, tm)
+			if got != want || (gerr == nil) != (werr == nil) {
+				t.Fatalf("op %d MissLU(%d) = %+v, %v; want %+v, %v", i, node, got, gerr, want, werr)
+			}
+		default:
+			received := r < 0.55
+			got, gok := noLE.Step(node, tm, p, received)
+			want, wok := lastKnown.Step(node, tm, p, received)
+			if got != want || gok != wok {
+				t.Fatalf("op %d Step(%d, received %v) = %+v, %v; want %+v, %v", i, node, received, got, gok, want, wok)
+			}
+		}
+	}
+	if noLE.ReceivedLUs() != lastKnown.ReceivedLUs() || noLE.EstimatedLUs() != lastKnown.EstimatedLUs() {
+		t.Errorf("counters received/estimated = %d/%d, want %d/%d",
+			noLE.ReceivedLUs(), noLE.EstimatedLUs(), lastKnown.ReceivedLUs(), lastKnown.EstimatedLUs())
+	}
+	if noLE.EstimatedLUs() == 0 {
+		t.Error("sequence never refreshed a belief")
+	}
+	got, want := noLE.Locations(), lastKnown.Locations()
+	if len(got) != len(want) {
+		t.Fatalf("Locations = %d entries, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("Locations[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestNoLERecordBirthAllocs pins the churn rejoin cost at the no-LE
+// broker: a record born inside the preallocated window allocates
+// nothing, because the broker keeps no per-node estimator.
+func TestNoLERecordBirthAllocs(t *testing.T) {
+	b := New(nil)
+	b.Preallocate(8)
+	tm := 0.0
+	allocs := testing.AllocsPerRun(100, func() {
+		tm++
+		b.Step(5, tm, geo.Point{X: tm}, true)
+		b.Forget(5)
+	})
+	if allocs != 0 {
+		t.Errorf("no-LE record birth allocates %v objects, want 0", allocs)
 	}
 }

@@ -9,9 +9,6 @@ import "github.com/mobilegrid/adf/internal/sanitize"
 func (b *Broker) DigestState(d *sanitize.Digest) {
 	d.WriteInt(b.records.Count())
 	b.records.Range(func(node int, r *record) bool {
-		if !r.hasReport {
-			return true
-		}
 		d.WriteInt(node)
 		d.WriteFloat64(r.believed.Pos.X)
 		d.WriteFloat64(r.believed.Pos.Y)

@@ -71,9 +71,6 @@ func (b *Broker) Within(p geo.Point, radius float64) ([]Candidate, error) {
 func (b *Broker) candidates(p geo.Point) []Candidate {
 	out := make([]Candidate, 0, b.records.Count())
 	b.records.Range(func(node int, r *record) bool {
-		if !r.hasReport {
-			return true
-		}
 		e := r.believed
 		e.Node = node
 		out = append(out, Candidate{Entry: e, Dist: e.Pos.Dist(p)})

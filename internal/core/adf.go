@@ -77,9 +77,11 @@ func (c Config) Validate() error {
 	return c.Cluster.Validate()
 }
 
-// nodeState is the ADF's per-node bookkeeping.
+// nodeState is the ADF's per-node bookkeeping. The classifier is held
+// by value, so a node's whole filter state is this one object plus its
+// classifier's step-window buffer.
 type nodeState struct {
-	classifier *Classifier
+	classifier Classifier
 	pattern    MobilityPattern
 	// anchor is the distance-comparison reference: the last transmitted
 	// location (Anchored) or the previous sample (PerStep).
@@ -144,15 +146,9 @@ func (a *ADF) Config() Config { return a.cfg }
 func (a *ADF) Offer(lu filter.LU) filter.Decision {
 	st, ok := a.nodes.Get(lu.Node)
 	if !ok {
-		//adf:allow hotpath — classifier birth happens once per node.
-		cl, err := NewClassifier(a.cfg.Classifier)
-		if err != nil {
-			// Config was validated at construction; this cannot happen.
-			panic(fmt.Sprintf("core: classifier config invalidated: %v", err))
-		}
-		//adf:allow hotpath — first sight of a node; every later tick hits
-		// the dense-map fast path above.
-		st = &nodeState{classifier: cl}
+		//adf:allow hotpath — first sight of a node: its state and classifier
+		// window are born once; later ticks take the dense-map fast path above.
+		st = &nodeState{classifier: newClassifier(a.cfg.Classifier)}
 		a.nodes.Put(lu.Node, st)
 		obs.PatternNodes(int(PatternUnknown)).Add(1)
 	}

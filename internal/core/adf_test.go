@@ -430,3 +430,21 @@ func clone(in []motion) []motion {
 	copy(out, in)
 	return out
 }
+
+// TestADFRebirthAllocs pins the churn rejoin cost: a node forgotten and
+// offered again inside the preallocated window allocates at most its
+// node state and its classifier's step-window buffer.
+func TestADFRebirthAllocs(t *testing.T) {
+	a := mustADF(t, DefaultConfig())
+	a.Preallocate(8)
+	lu := filter.LU{Node: 3, Time: 1, Pos: geo.Point{X: 1}}
+	a.Offer(lu)
+	allocs := testing.AllocsPerRun(100, func() {
+		a.Forget(lu.Node)
+		lu.Time++
+		a.Offer(lu)
+	})
+	if allocs > 2 {
+		t.Errorf("Forget+Offer rebirth allocates %v objects, want at most 2", allocs)
+	}
+}

@@ -94,23 +94,23 @@ func (c ClassifierConfig) Validate() error {
 // Classifier implements the Figure-2 mobility-pattern classification for
 // one mobile node from its raw position samples.
 //
-// Observe runs once per node per sampling period, so the window is
-// maintained incrementally: each per-step speed, heading and its cos/sin
-// are computed exactly once when the step enters the window, and the fixed
-// buffers are shifted in place — a steady-state Observe performs no
-// allocations and no redundant trigonometry.
+// Observe runs once per node per sampling period, so the state is small
+// and maintained incrementally. Only the last sample is ever read back,
+// so no sample window is kept. The three per-step windows — speed, and
+// the cos/sin of each moving step's heading — are cut from one
+// 3·(WindowSize−1) buffer; each term is computed once when its step
+// enters and shifted in place as it ages, so a steady-state Observe
+// neither allocates nor repeats trigonometry.
 type Classifier struct {
 	cfg ClassifierConfig
-	// Sliding windows of the most recent WindowSize samples, shifted in
-	// place so the backing arrays are allocated once.
-	times  []float64
-	points []geo.Point
-	// Derived per-step motion (len = len(times)-1 when full).
-	speeds   []float64
-	headings []float64 // only steps with actual movement contribute
-	// Cached cos/sin of each heading, in heading order, so circular
-	// statistics never recompute trigonometry for steps already seen.
-	hcos, hsin []float64
+	// n is the number of buffered samples, saturating at WindowSize.
+	n     int
+	lastT float64
+	lastP geo.Point
+	// speeds holds the window's per-step speeds (n-1 of them). hcos and
+	// hsin hold the cos/sin of the moving steps' headings, in step
+	// order, so circular statistics never recompute trigonometry.
+	speeds, hcos, hsin []float64
 }
 
 // NewClassifier returns a classifier for one node.
@@ -118,61 +118,54 @@ func NewClassifier(cfg ClassifierConfig) (*Classifier, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Pre-size every window to its WindowSize cap so Observe never
-	// allocates: lazily grown windows leave a long warm-up tail at large
-	// populations (a node's headings window only grows the first time it
-	// moves, which can be arbitrarily late).
-	w := cfg.WindowSize
-	return &Classifier{
-		cfg:      cfg,
-		times:    make([]float64, 0, w),
-		points:   make([]geo.Point, 0, w),
-		speeds:   make([]float64, 0, w),
-		headings: make([]float64, 0, w),
-		hcos:     make([]float64, 0, w),
-		hsin:     make([]float64, 0, w),
-	}, nil
+	c := newClassifier(cfg)
+	return &c, nil
+}
+
+// newClassifier builds a classifier from a validated configuration with
+// one allocation: the shared backing buffer of its three step windows,
+// each pre-sized to its WindowSize−1 cap so Observe never grows them.
+func newClassifier(cfg ClassifierConfig) Classifier {
+	m := cfg.WindowSize - 1
+	buf := make([]float64, 3*m)
+	return Classifier{
+		cfg:    cfg,
+		speeds: buf[0:0:m],
+		hcos:   buf[m : m : 2*m],
+		hsin:   buf[2*m : 2*m : 3*m],
+	}
 }
 
 // Observe feeds the node's next position sample. Samples with
 // non-advancing timestamps are ignored.
 func (c *Classifier) Observe(t float64, p geo.Point) {
-	n := len(c.times)
-	if n > 0 && t <= c.times[n-1] {
+	prev := c.n
+	if prev > 0 && t <= c.lastT {
 		return
 	}
-	if n == c.cfg.WindowSize {
+	if prev == c.cfg.WindowSize {
 		// Window full: the oldest sample leaves, and with it the oldest
 		// step (and its heading, if that step was moving).
 		if c.speeds[0] > c.cfg.StopSpeed {
-			c.headings = shiftOut(c.headings)
 			c.hcos = shiftOut(c.hcos)
 			c.hsin = shiftOut(c.hsin)
 		}
 		c.speeds = shiftOut(c.speeds)
-		copy(c.times, c.times[1:])
-		c.times[n-1] = t
-		copy(c.points, c.points[1:])
-		c.points[n-1] = p
 	} else {
-		// Warm-up only: every slice here is capped at WindowSize, so the
-		// appends stop allocating once the window has filled once.
-		c.times = append(c.times, t)   //adf:allow hotpath — bounded by WindowSize
-		c.points = append(c.points, p) //adf:allow hotpath — bounded by WindowSize
+		c.n++
 	}
-	if n := len(c.times); n >= 2 {
+	if prev > 0 {
 		// Derive the newly completed step exactly once.
-		dt := c.times[n-1] - c.times[n-2]
-		d := c.points[n-1].Sub(c.points[n-2])
-		speed := d.Len() / dt
-		c.speeds = append(c.speeds, speed) //adf:allow hotpath — bounded by WindowSize
+		d := p.Sub(c.lastP)
+		speed := d.Len() / (t - c.lastT)
+		c.speeds = push(c.speeds, speed)
 		if speed > c.cfg.StopSpeed {
 			h := d.Heading()
-			c.headings = append(c.headings, h)   //adf:allow hotpath — bounded by WindowSize
-			c.hcos = append(c.hcos, math.Cos(h)) //adf:allow hotpath — bounded by WindowSize
-			c.hsin = append(c.hsin, math.Sin(h)) //adf:allow hotpath — bounded by WindowSize
+			c.hcos = push(c.hcos, math.Cos(h))
+			c.hsin = push(c.hsin, math.Sin(h))
 		}
 	}
+	c.lastT, c.lastP = t, p
 }
 
 // shiftOut drops the first element in place, keeping the backing array.
@@ -181,13 +174,20 @@ func shiftOut(xs []float64) []float64 {
 	return xs[:len(xs)-1]
 }
 
+// push appends v within xs's capacity, which the window bound guarantees.
+func push(xs []float64, v float64) []float64 {
+	xs = xs[:len(xs)+1]
+	xs[len(xs)-1] = v
+	return xs
+}
+
 // Ready reports whether enough samples have arrived to classify.
 func (c *Classifier) Ready() bool {
-	return len(c.times) >= c.cfg.WindowSize
+	return c.n >= c.cfg.WindowSize
 }
 
 // Samples returns the number of buffered samples (at most WindowSize).
-func (c *Classifier) Samples() int { return len(c.times) }
+func (c *Classifier) Samples() int { return c.n }
 
 // MeanSpeed returns the node's mean speed over the window, V_mn in the
 // paper's notation.
@@ -210,7 +210,7 @@ func (c *Classifier) headingSums() (sx, sy float64) {
 // steps, D_mn in the paper's notation.
 func (c *Classifier) MeanHeading() float64 {
 	sx, sy := c.headingSums()
-	return geo.CircularMeanFromSums(sx, sy, len(c.headings))
+	return geo.CircularMeanFromSums(sx, sy, len(c.hcos))
 }
 
 // Feature returns the clustering feature derived from the window.
@@ -239,7 +239,7 @@ func (c *Classifier) Pattern() MobilityPattern {
 	default:
 		speedStable := geo.StdDev(c.speeds) <= c.cfg.SpeedStability
 		sx, sy := c.headingSums()
-		headingStable := geo.CircularVarianceFromSums(sx, sy, len(c.headings)) <= c.cfg.HeadingStability
+		headingStable := geo.CircularVarianceFromSums(sx, sy, len(c.hcos)) <= c.cfg.HeadingStability
 		if speedStable && headingStable {
 			return PatternLinear
 		}

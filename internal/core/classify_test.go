@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/mobilegrid/adf/internal/cluster"
 	"github.com/mobilegrid/adf/internal/geo"
 	"github.com/mobilegrid/adf/internal/sim"
 )
@@ -212,5 +213,150 @@ func TestWindowSlides(t *testing.T) {
 	}
 	if c.Samples() != cfg.WindowSize {
 		t.Errorf("Samples = %d, want %d", c.Samples(), cfg.WindowSize)
+	}
+}
+
+// refClassifier is the windowed classifier layout the flat Classifier
+// replaced, kept as the bit-identity reference: full sample windows of
+// times and points, the per-step speeds, and the moving steps' headings
+// with their cached cos/sin, each in its own slice, shifted in place.
+type refClassifier struct {
+	cfg              ClassifierConfig
+	times            []float64
+	points           []geo.Point
+	speeds, headings []float64
+	hcos, hsin       []float64
+}
+
+func (c *refClassifier) Observe(t float64, p geo.Point) {
+	n := len(c.times)
+	if n > 0 && t <= c.times[n-1] {
+		return
+	}
+	if n == c.cfg.WindowSize {
+		if c.speeds[0] > c.cfg.StopSpeed {
+			c.headings = shiftOut(c.headings)
+			c.hcos = shiftOut(c.hcos)
+			c.hsin = shiftOut(c.hsin)
+		}
+		c.speeds = shiftOut(c.speeds)
+		copy(c.times, c.times[1:])
+		c.times[n-1] = t
+		copy(c.points, c.points[1:])
+		c.points[n-1] = p
+	} else {
+		c.times = append(c.times, t)
+		c.points = append(c.points, p)
+	}
+	if n := len(c.times); n >= 2 {
+		dt := c.times[n-1] - c.times[n-2]
+		d := c.points[n-1].Sub(c.points[n-2])
+		speed := d.Len() / dt
+		c.speeds = append(c.speeds, speed)
+		if speed > c.cfg.StopSpeed {
+			h := d.Heading()
+			c.headings = append(c.headings, h)
+			c.hcos = append(c.hcos, math.Cos(h))
+			c.hsin = append(c.hsin, math.Sin(h))
+		}
+	}
+}
+
+func (c *refClassifier) Ready() bool        { return len(c.times) >= c.cfg.WindowSize }
+func (c *refClassifier) MeanSpeed() float64 { return geo.Mean(c.speeds) }
+
+func (c *refClassifier) headingSums() (sx, sy float64) {
+	for _, v := range c.hcos {
+		sx += v
+	}
+	for _, v := range c.hsin {
+		sy += v
+	}
+	return sx, sy
+}
+
+func (c *refClassifier) MeanHeading() float64 {
+	sx, sy := c.headingSums()
+	return geo.CircularMeanFromSums(sx, sy, len(c.headings))
+}
+
+func (c *refClassifier) Pattern() MobilityPattern {
+	if !c.Ready() {
+		return PatternUnknown
+	}
+	v := c.MeanSpeed()
+	switch {
+	case v <= c.cfg.StopSpeed:
+		return PatternStop
+	case v > c.cfg.WalkSpeed:
+		return PatternLinear
+	default:
+		speedStable := geo.StdDev(c.speeds) <= c.cfg.SpeedStability
+		sx, sy := c.headingSums()
+		headingStable := geo.CircularVarianceFromSums(sx, sy, len(c.headings)) <= c.cfg.HeadingStability
+		if speedStable && headingStable {
+			return PatternLinear
+		}
+		return PatternRandom
+	}
+}
+
+// TestClassifierMatchesWindowedReference feeds seeded traces — walking,
+// vehicle and jittery legs, stop steps, sub-StopSpeed creep and
+// non-advancing timestamps — to the flat Classifier and the windowed
+// reference, and requires bit-identical outputs after every sample at
+// window sizes 2, 8 and 16.
+func TestClassifierMatchesWindowedReference(t *testing.T) {
+	bits := math.Float64bits
+	seen := map[MobilityPattern]bool{}
+	for _, w := range []int{2, 8, 16} {
+		cfg := DefaultClassifierConfig()
+		cfg.WindowSize = w
+		for seed := int64(1); seed <= 6; seed++ {
+			c := mustClassifier(t, cfg)
+			ref := &refClassifier{cfg: cfg}
+			rng := sim.NewRNG(seed)
+			tm, p := 0.0, geo.Point{}
+			heading := rng.Heading()
+			for i := 0; i < 600; i++ {
+				switch r := rng.Float64(); {
+				case r < 0.1: // a repeated or earlier timestamp, moved
+					stale := tm - rng.Uniform(0, 1)*float64(i%2)
+					c.Observe(stale, p.Add(geo.Vec{DX: 1}))
+					ref.Observe(stale, p.Add(geo.Vec{DX: 1}))
+				case r < 0.3: // stop step
+					tm += 1
+				case r < 0.4: // creep below StopSpeed
+					tm += 1
+					p = p.Add(geo.FromHeading(rng.Heading(), cfg.StopSpeed/2))
+				case r < 0.7: // steady leg with heading noise
+					tm += rng.Uniform(0.5, 2)
+					heading += rng.Normal(0, 0.1)
+					p = p.Add(geo.FromHeading(heading, rng.Uniform(0.8, 1.6)))
+				default: // erratic walker or vehicle
+					tm += 1
+					heading = rng.Heading()
+					p = p.Add(geo.FromHeading(heading, rng.Uniform(0.2, 12)))
+				}
+				c.Observe(tm, p)
+				ref.Observe(tm, p)
+				gf, wf := c.Feature(), cluster.Feature{Speed: ref.MeanSpeed(), Heading: ref.MeanHeading()}
+				if c.Samples() != len(ref.times) || c.Ready() != ref.Ready() ||
+					bits(c.MeanSpeed()) != bits(ref.MeanSpeed()) ||
+					bits(c.MeanHeading()) != bits(ref.MeanHeading()) ||
+					c.Pattern() != ref.Pattern() ||
+					bits(gf.Speed) != bits(wf.Speed) || bits(gf.Heading) != bits(wf.Heading) {
+					t.Fatalf("window %d seed %d sample %d: got samples %d ready %v speed %v heading %v pattern %v feature %+v; want %d %v %v %v %v %+v",
+						w, seed, i, c.Samples(), c.Ready(), c.MeanSpeed(), c.MeanHeading(), c.Pattern(), gf,
+						len(ref.times), ref.Ready(), ref.MeanSpeed(), ref.MeanHeading(), ref.Pattern(), wf)
+				}
+				seen[c.Pattern()] = true
+			}
+		}
+	}
+	for _, p := range []MobilityPattern{PatternStop, PatternRandom, PatternLinear} {
+		if !seen[p] {
+			t.Errorf("traces never reached pattern %v", p)
+		}
 	}
 }

@@ -72,7 +72,10 @@ func (s *Slab[V]) Put(key int, value V) {
 	if s.sparse == nil {
 		s.sparse = make(map[int]*V)
 	}
-	s.sparse[key] = &value
+	// Box a branch-local copy: taking the parameter's address would move
+	// value to the heap on every Put, dense-window births included.
+	boxed := value
+	s.sparse[key] = &boxed
 }
 
 // PutPtr stores value under key and returns the stored entry's pointer,

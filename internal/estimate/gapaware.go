@@ -33,9 +33,10 @@ import (
 type GapAwareLE struct {
 	cfg GapAwareConfig
 	// Heading uses trendless single smoothing: a heading trend term only
-	// amplifies the overshoot at direction reversals.
-	dirCos   *Single
-	dirSin   *Single
+	// amplifies the overshoot at direction reversals. The smoothers are
+	// held by value, so one estimator is one allocation.
+	dirCos   Single
+	dirSin   Single
 	tracker  motionTracker
 	nSamples int
 
@@ -98,15 +99,8 @@ func NewGapAwareLE(cfg GapAwareConfig) (*GapAwareLE, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dc, err := NewSingle(cfg.HeadingAlpha)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := NewSingle(cfg.HeadingAlpha)
-	if err != nil {
-		return nil, err
-	}
-	return &GapAwareLE{cfg: cfg, dirCos: dc, dirSin: ds}, nil
+	sm := Single{alpha: cfg.HeadingAlpha}
+	return &GapAwareLE{cfg: cfg, dirCos: sm, dirSin: sm}, nil
 }
 
 // Observe implements PositionEstimator.

@@ -221,3 +221,17 @@ func TestGapAwareBeatsBrownOnFilteredStream(t *testing.T) {
 		t.Errorf("gap-aware (%.1f) not better than brown (%.1f)", gapErr, brownErr)
 	}
 }
+
+var gapAwareSink *GapAwareLE
+
+// TestNewGapAwareLEAllocs pins the estimator birth the broker pays per
+// node: the smoothers live inside the estimator, so it is one object.
+func TestNewGapAwareLEAllocs(t *testing.T) {
+	cfg := DefaultGapAwareConfig()
+	allocs := testing.AllocsPerRun(100, func() {
+		gapAwareSink, _ = NewGapAwareLE(cfg)
+	})
+	if allocs != 1 {
+		t.Errorf("NewGapAwareLE allocates %v objects, want 1", allocs)
+	}
+}

@@ -169,15 +169,28 @@ func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
 // Float64 reads an IEEE-754 float64.
 func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
+// Minimum encoded sizes of the counted elements: a string is at least
+// its 4-byte length prefix, a map entry at least two of them.
+const (
+	minStringSize = 4
+	minEntrySize  = 8
+)
+
 // length reads a 4-byte length and bounds-checks it against the
 // remaining payload.
-func (d *Decoder) length() int {
+func (d *Decoder) length() int { return d.count(1) }
+
+// count reads a 4-byte element count and bounds-checks it against the
+// number of elements of at least minSize bytes the remaining payload can
+// hold, so a forged count can never size an allocation beyond what the
+// payload could actually encode.
+func (d *Decoder) count(minSize int) int {
 	b := d.take(4)
 	if b == nil {
 		return 0
 	}
 	n := int(binary.BigEndian.Uint32(b))
-	if n > d.Remaining() {
+	if n > d.Remaining()/minSize {
 		d.fail()
 		return 0
 	}
@@ -204,7 +217,7 @@ func (d *Decoder) String() string { return string(d.Bytes()) }
 
 // Strings reads a length-prefixed string list.
 func (d *Decoder) Strings() []string {
-	n := d.length()
+	n := d.count(minStringSize)
 	if d.err != nil {
 		return nil
 	}
@@ -220,7 +233,7 @@ func (d *Decoder) Strings() []string {
 
 // Values reads a string-keyed byte-slice map.
 func (d *Decoder) Values() map[string][]byte {
-	n := d.length()
+	n := d.count(minEntrySize)
 	if d.err != nil {
 		return nil
 	}

@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -136,6 +138,58 @@ func TestDecoderCorruptLength(t *testing.T) {
 	}
 	if d.Err() == nil {
 		t.Error("corrupt length not detected")
+	}
+}
+
+// TestDecoderForgedCountBounded pins the count bound: a list or map
+// count larger than the remaining payload can hold at the minimum
+// encoded element size fails before it sizes an allocation. A 1 MB
+// payload claiming one element per remaining byte once made Strings
+// allocate ~17 MB and Values ~100 MB.
+func TestDecoderForgedCountBounded(t *testing.T) {
+	const size = 1 << 20
+	payload := make([]byte, size)
+	binary.BigEndian.PutUint32(payload, size-4)
+	for _, tc := range []struct {
+		name   string
+		decode func(*Decoder) bool // reports a non-nil result
+	}{
+		{"Strings", func(d *Decoder) bool { return d.Strings() != nil }},
+		{"Values", func(d *Decoder) bool { return d.Values() != nil }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := NewDecoder(payload)
+		got := tc.decode(d)
+		runtime.ReadMemStats(&after)
+		if got || !errors.Is(d.Err(), ErrShortBuffer) {
+			t.Errorf("%s: forged count decoded (non-nil %v, err %v)", tc.name, got, d.Err())
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: forged count allocated %d bytes, want at most 64 KiB", tc.name, grew)
+		}
+	}
+}
+
+// TestDecoderCountAtBound checks the bound is exact: a count of
+// minimum-size elements that fills the payload still decodes.
+func TestDecoderCountAtBound(t *testing.T) {
+	const n = 64
+	strs := make([]byte, 4+n*minStringSize)
+	binary.BigEndian.PutUint32(strs, n)
+	if got := NewDecoder(strs).Strings(); len(got) != n {
+		t.Errorf("Strings decoded %d empty strings, want %d", len(got), n)
+	}
+	vals := make([]byte, 4+n*minEntrySize)
+	binary.BigEndian.PutUint32(vals, n)
+	d := NewDecoder(vals)
+	// n empty keys collapse into one map entry; the decode must succeed.
+	if got := d.Values(); len(got) != 1 || d.Err() != nil || d.Remaining() != 0 {
+		t.Errorf("Values = %d entries, err %v, %d bytes left; want 1, nil, 0", len(got), d.Err(), d.Remaining())
+	}
+	binary.BigEndian.PutUint32(vals, n+1)
+	if NewDecoder(vals).Values() != nil {
+		t.Error("Values accepted a count one past the bound")
 	}
 }
 
