@@ -9,34 +9,11 @@ import (
 	"github.com/mobilegrid/adf/internal/sanitize"
 )
 
-// runSanitize is the -sanitize mode: a sequential and a parallel
-// pipeline run the configured scenario in lockstep and their per-tick
-// state digests are compared for bit-identity, with every adfcheck
-// runtime invariant armed along the way. The mode refuses to run in a
-// default build — the no-op sanitizer would make the "every invariant
-// held" claim vacuous.
-func runSanitize(w io.Writer, cfg experiment.Config, workers int) error {
-	if !sanitize.Enabled {
-		return fmt.Errorf("the sanitizer is not compiled in: rebuild with -tags adfcheck (e.g. `go run -tags adfcheck ./cmd/adfbench -sanitize`)")
-	}
-	if workers <= 1 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers < 2 {
-			workers = 2
-		}
-	}
-	ticks, err := cfg.CompareTickDigests(workers)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "sanitize: %d ticks compared, sequential vs %d mobility workers: state digests bit-identical, every invariant held\n", ticks, workers)
-	return nil
-}
-
-// shardDigestWorkerCounts is the worker-count matrix the -shard-digest
-// gate compares: the sequential sharded reference, a fixed parallel
-// count, and whatever this machine's scheduler limit is, deduplicated.
-func shardDigestWorkerCounts() []int {
+// digestWorkerCounts is the worker-count matrix the -sanitize and
+// -shard-digest gates compare: the sequential reference, a fixed
+// parallel count, and whatever this machine's scheduler limit is,
+// deduplicated.
+func digestWorkerCounts() []int {
 	counts := []int{1, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 4 {
 		counts = append(counts, n)
@@ -44,21 +21,29 @@ func shardDigestWorkerCounts() []int {
 	return counts
 }
 
-// runShardDigest is the -shard-digest mode: the region-sharded pipeline
+// runDigestCompare is the -sanitize and -shard-digest mode: the pipeline
 // runs the configured scenario once per worker count in tick lockstep
-// and the per-tick state digests are compared for bit-identity, proving
-// the shard merge is deterministic at any parallelism. Like -sanitize it
-// refuses to run in a default build so the "every invariant held" claim
-// stays meaningful; `make check-sharded` is the CI gate built on it.
-func runShardDigest(w io.Writer, cfg experiment.Config) error {
-	if !sanitize.Enabled {
-		return fmt.Errorf("the sanitizer is not compiled in: rebuild with -tags adfcheck (e.g. `go run -tags adfcheck ./cmd/adfbench -shard-digest`)")
+// and the per-tick state digests are compared for bit-identity, with
+// every adfcheck runtime invariant armed along the way. -sanitize runs
+// the global shape, -shard-digest the region shape. The mode refuses to
+// run in a default build — the no-op sanitizer would make the "every
+// invariant held" claim vacuous. `make check` and `make check-sharded`
+// are the CI gates built on it.
+func runDigestCompare(w io.Writer, cfg experiment.Config, regionShape bool) error {
+	mode, shape := "sanitize", "global"
+	cfg.ShardWorkers = 0
+	if regionShape {
+		mode, shape = "shard-digest", "region"
+		cfg.ShardWorkers = 1
 	}
-	counts := shardDigestWorkerCounts()
+	if !sanitize.Enabled {
+		return fmt.Errorf("the sanitizer is not compiled in: rebuild with -tags adfcheck (e.g. `go run -tags adfcheck ./cmd/adfbench -%s`)", mode)
+	}
+	counts := digestWorkerCounts()
 	ticks, err := cfg.CompareShardDigests(counts)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "shard-digest: %d ticks compared at %v shard workers: state digests bit-identical, every invariant held\n", ticks, counts)
+	fmt.Fprintf(w, "%s: %d ticks compared, %s shape at %v workers: state digests bit-identical, every invariant held\n", mode, ticks, shape, counts)
 	return nil
 }

@@ -67,7 +67,7 @@ func New(factory estimate.Factory) *Broker {
 }
 
 // Preallocate sizes the location DB's dense window for node IDs in
-// [0, n), so later record births never move the storage. Sharded
+// [0, n), so later record births never move the storage. Parallel shard
 // execution requires it: concurrent Steps on disjoint node sets are only
 // race-free once growth is off the hot path.
 func (b *Broker) Preallocate(n int) { b.records.Grow(n) }

@@ -24,9 +24,9 @@ type ChurnSink interface {
 // Draws come from the order-independent keyed PRF (sim.Keyed), keyed by
 // the node and the tick the schedule was made on, so the timeline is
 // identical however its partitions are laid out: one global partition
-// (Pipeline) and one partition per region shard (Sharded) produce the
-// same flips on the same ticks, and shard workers can process their own
-// partitions concurrently.
+// (the global shape) and one partition per region shard (the region
+// shape) produce the same flips on the same ticks, and shard workers can
+// process their own partitions concurrently.
 type KeyedChurn struct {
 	leave  float64
 	rejoin float64

@@ -4,16 +4,16 @@
 // metric sinks, plus the bounded worker pool (Group) the campaign layer
 // uses to run independent simulations concurrently.
 //
-// A Pipeline is single-threaded, like the discrete-event simulator that
-// drives it. Parallelism happens one level up, between whole simulations:
-// each owns a private Pipeline, sim.Simulator and sim.Streams, so running
-// simulations concurrently on a Group is bit-for-bit identical to running
-// them one after another.
+// One Pipeline type runs every simulation, in one of two shapes: a single
+// global shard (the paper's campus-wide clustering) or one shard per
+// region. Either way its results do not depend on Pipeline.Workers, and
+// each simulation owns a private Pipeline, sim.Simulator and sim.Streams,
+// so running simulations concurrently on a Group is bit-for-bit identical
+// to running them one after another.
 package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/mobilegrid/adf/internal/broker"
 	"github.com/mobilegrid/adf/internal/campus"
@@ -187,56 +187,148 @@ func (c *Churn) Step(id int) (present, left bool) {
 // AbsentCount returns the number of currently departed nodes.
 func (c *Churn) AbsentCount() int { return c.absent.Len() }
 
-// Pipeline wires one simulation's stages together. All fields except
-// Churn and Observers are required; Validate checks the wiring.
+// Pipeline wires one simulation's stages together. Every tick runs the
+// same four steps: mobility advance, a sequential prepass (shared churn
+// draws and migration detection, in node order), the shard stage (gateway
+// collect → filter → broker delivery, per shard) and a deterministic merge
+// that replays the shards' buffered effects in shard order.
+//
+// The shard key is the pipeline's shape, chosen by which filter field is
+// set (exactly one must be):
+//
+//   - Filter: one global shard over every node in node order, so a
+//     clustering filter like the ADF clusters the whole campus — the
+//     paper's deployment.
+//   - NewFilter: one shard per home region, in ascending region-ID order,
+//     each with its own filter instance, so the ADF clusters per region
+//     and the shards run in parallel.
+//
+// A shard's stage chain touches only shard-local state: the gateways of
+// its members (a region's gateway and its RNG stream belong to exactly one
+// shard), the shard's filter, and the broker records of its members
+// (shard-safe after Preallocate, because the dense.Slab does no shared
+// bookkeeping). Cross-shard effects — observer events, broker tallies,
+// observability batches, migration handoff — are buffered per shard and
+// applied by the merge step in shard order, never in completion order;
+// only when the shards run inline, one after the other, do observer
+// events fire straight from the shard stage, in that same order. Results
+// are therefore bit-for-bit identical at every worker count.
 type Pipeline struct {
 	// Nodes is the mobile population, advanced in slice order every tick
 	// (the fixed order pins RNG consumption, keeping runs reproducible).
 	Nodes []*node.Node
 	// Net is the per-region wireless gateway network.
 	Net *gateway.Network
-	// Filter decides which LUs reach the brokers.
+	// Filter selects the global shape: this one filter decides which LUs
+	// of every node reach the brokers. It is read again on every tick, so
+	// a caller may swap it between ticks.
 	Filter filter.Filter
+	// NewFilter selects the region shape: it builds one filter instance
+	// per region shard on the first tick.
+	NewFilter func() (filter.Filter, error)
 	// NoLE and WithLE are the two broker variants run in lockstep on
 	// identical inputs, so their error curves are directly comparable.
+	// They are shared by every shard: the location DB is the wired-grid
+	// side and stays global. Their dense windows are Preallocate-d on the
+	// first tick, so shard Steps on disjoint node sets are race-free.
 	NoLE, WithLE *broker.Broker
-	// Churn, when non-nil, lets nodes leave and rejoin the grid.
+	// Churn, when non-nil, lets nodes leave and rejoin the grid. Its one
+	// RNG stream is drawn by the sequential prepass in node order; the
+	// owning shard applies each verdict at the node's position in its
+	// pass, so a departing node is forgotten between the filter calls of
+	// the nodes before and after it.
 	Churn *Churn
 	// ChurnK is the keyed-mode churn timeline (at most one of Churn and
 	// ChurnK may be set): flips are pre-scheduled geometric events, so a
-	// tick costs O(events due) instead of one draw per node.
+	// tick costs O(events due) instead of one draw per node. Each shard
+	// processes its own timeline partition inside the shard stage.
 	ChurnK *KeyedChurn
 	// SamplePeriod is the sampling interval in virtual seconds.
 	SamplePeriod float64
-	// Observers receive the pipeline's events.
+	// Observers receive the pipeline's events, replayed sequentially by
+	// the merge step (they are never called concurrently). Read again on
+	// every tick, like Filter.
 	Observers Observers
-	// MobilityWorkers > 1 shards the mobility-advance stage over that many
-	// goroutines. Every node owns a private RNG stream, so advancing nodes
-	// concurrently consumes exactly the same random numbers as advancing
-	// them in slice order: results are bit-for-bit identical at any worker
-	// count. The later stages (churn, gateway, filter, brokers) share RNG
-	// streams and observer state and always run sequentially in node order.
-	MobilityWorkers int
+	// Workers bounds the worker pool that runs the advance stage and the
+	// shard stage; 0 or 1 runs both inline. It never changes a result,
+	// only which goroutine computes it.
+	Workers int
+	// Rehome, when set, is the region shape's migration hook: it maps a
+	// node's sample to the region shard that should own it from the next
+	// tick on. It must be a pure function of the sample so every worker
+	// count agrees on the handoff set. The node is still processed by its
+	// old shard on the tick it migrates; ownership, the gateway that
+	// collects its samples and its filter state transfer at merge. A nil
+	// Rehome pins every node to its home region.
+	Rehome func(s Sample) campus.RegionID
 
-	// samples is the reused per-tick buffer the advance stage fills.
+	built   bool
 	samples []Sample
-	// collectors caches each node's home-region gateway, resolved once on
-	// the first tick, replacing a map lookup per node per tick.
-	collectors []gateway.Collector
-	// pool is the lazily started mobility worker pool (nil when
-	// MobilityWorkers <= 1).
-	pool *advancePool
+	// verdict[i] is node index i's sequential churn verdict this tick.
+	verdict []verdict
+	// owner[i] is the index in shards of node i's owning shard.
+	owner []int
+	// slot[i] indexes regions with the region whose gateway collects node
+	// i's samples: its home region, or after a handoff its new region (in
+	// the region shape slot[i] equals owner[i]).
+	slot []int
+	// regions are the nodes' home regions in ascending ID order.
+	regions  []region
+	shards   []*shardCtx
+	shardOf  map[campus.RegionID]int
+	handoffs []handoff
+	// now and chunks are the advance stage's tick time and node-range
+	// count, read by its tasks.
+	now    float64
+	chunks int
+	pool   *workerPool
+	// advanceFn and shardFn are the pool's task bodies, bound once so a
+	// dispatch allocates nothing.
+	advanceFn, shardFn func(int)
 	// san is the runtime sanitizer's bookkeeping. In the default build it
 	// is an empty struct and sanitizeTick is an inlined no-op; under
 	// -tags adfcheck it holds the campus bounding box and the previous
 	// tick time (see sanitize_on.go).
 	san sanitizerState
-	// obsv is the observability batch: plain per-tick tallies the stages
-	// bump and Tick flushes into the global registry while obs.Enabled
-	// (see obs.go).
-	obsv obsState
+
+	// direct is set while the shard stage runs inline, one shard after
+	// the other: each node's observer events then fire as soon as both
+	// brokers hold its LU, in the order the merge would replay them, and
+	// err latches the first observer error.
+	direct bool
+	err    error
+
+	// obsOn caches obs.Enabled for the tick, and verbose whether the
+	// opt-in per-LU event is on, so the shards read plain fields.
+	obsOn, verbose bool
+	// tid is this pipeline's Chrome-trace track, so concurrent campaign
+	// simulations render on separate rows.
+	tid uint32
+	// master is the tick's counter/histogram batch the shard batches
+	// merge into; it flushes into the registry while obs is enabled.
+	master obs.TickLocal
 	// tick counts processed sampling rounds; it keys the churn timeline.
 	tick uint64
+}
+
+// verdict is one node's sequential churn outcome for a tick.
+type verdict uint8
+
+const (
+	// nodeIn takes part in the tick.
+	nodeIn verdict = iota
+	// nodeOut is away from the grid and sits the tick out.
+	nodeOut
+	// nodeLeft departed this tick and is forgotten by its shard.
+	nodeLeft
+)
+
+// region is one campus region's gateway plus its plain per-tick LU
+// tallies and the global labeled counters they flush into.
+type region struct {
+	gw              gateway.Collector
+	offered, sent   uint64
+	offeredC, sentC *obs.Counter
 }
 
 // Validate reports wiring errors.
@@ -246,24 +338,26 @@ func (p *Pipeline) Validate() error {
 		return fmt.Errorf("engine: pipeline has no nodes")
 	case p.Net == nil:
 		return fmt.Errorf("engine: pipeline has no gateway network")
-	case p.Filter == nil:
-		return fmt.Errorf("engine: pipeline has no filter")
+	case (p.Filter == nil) == (p.NewFilter == nil):
+		return fmt.Errorf("engine: pipeline needs exactly one of Filter (global shape) and NewFilter (region shape)")
 	case p.NoLE == nil || p.WithLE == nil:
 		return fmt.Errorf("engine: pipeline needs both broker variants")
 	case p.SamplePeriod <= 0:
 		return fmt.Errorf("engine: non-positive sample period %v", p.SamplePeriod)
-	case p.MobilityWorkers < 0:
-		return fmt.Errorf("engine: negative MobilityWorkers %d", p.MobilityWorkers)
+	case p.Workers < 0:
+		return fmt.Errorf("engine: negative Workers %d", p.Workers)
 	case p.Churn != nil && p.ChurnK != nil:
 		return fmt.Errorf("engine: both Churn and ChurnK set; pick one churn model")
+	case p.Rehome != nil && p.NewFilter == nil:
+		return fmt.Errorf("engine: Rehome needs the region shape (NewFilter)")
 	}
 	return nil
 }
 
 // Run schedules the pipeline on s at every sample period (first tick at
 // one period, like the paper's 1 Hz sampling) and executes until the
-// horizon, surfacing the first stage or observer error. Any mobility
-// worker pool is released before Run returns.
+// horizon, surfacing the first stage or observer error. The worker pool
+// is released before Run returns.
 func (p *Pipeline) Run(s *sim.Simulator, horizon float64) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -275,9 +369,9 @@ func (p *Pipeline) Run(s *sim.Simulator, horizon float64) error {
 	return s.RunUntil(horizon)
 }
 
-// Close releases the mobility worker pool, if one was started. It is safe
-// to call repeatedly; a later Tick simply restarts the pool. Callers that
-// drive Tick directly with MobilityWorkers > 1 should Close when done.
+// Close releases the worker pool, if one was started. It is safe to call
+// repeatedly; a later Tick simply restarts the pool. Callers that drive
+// Tick directly with Workers > 1 should Close when done.
 func (p *Pipeline) Close() {
 	if p.pool != nil {
 		p.pool.close()
@@ -285,268 +379,139 @@ func (p *Pipeline) Close() {
 	}
 }
 
-// Tick processes one sampling round: the advance stage positions every
-// node (in parallel when MobilityWorkers > 1), then each node flows
-// through the sequential stages in slice order, then OnTick fires.
-// While observability is enabled each stage is timed into a trace span
-// and the tick's batched tallies flush into the global registry.
+// Tick processes one sampling round: advance positions every node, the
+// sequential prepass draws churn and detects migrations in node order,
+// the shard stage runs every shard, and the merge step replays the
+// buffered effects in shard order before OnTick fires. While
+// observability is enabled each stage is timed into a trace span and the
+// tick's batched tallies flush into the global registry.
 func (p *Pipeline) Tick(now float64) error {
-	if p.collectors == nil {
-		if err := p.buildCollectors(); err != nil {
+	if !p.built {
+		if err := p.build(); err != nil {
 			return err
 		}
 	}
-	p.obsv.on = obs.Enabled()
+	if p.NewFilter == nil {
+		p.shards[0].filt = p.Filter
+	}
+	p.obsOn = obs.Enabled()
+	p.verbose = p.obsOn && obs.Events.Verbose()
 	t0 := obs.StageStart()
 	p.stageAdvance(now)
-	t1 := obs.StageClock(t0)
+	t1 := obs.StageEnd(p.tid, obs.StageAdvance, t0)
 	p.sanitizeTick(now)
 	p.tick++
-	if p.ChurnK != nil {
-		p.ChurnK.ProcessPart(0, p.tick, p)
+	p.stagePrepass()
+	p.direct = p.Workers <= 1 || len(p.shards) == 1
+	p.parallel(len(p.shards), p.shardFn)
+	t2 := obs.StageEnd(p.tid, obs.StageNodes, t1)
+	if err := p.err; err != nil {
+		p.err = nil
+		return err
 	}
-	for i := range p.samples {
-		if err := p.tickNode(i, p.samples[i]); err != nil {
-			return err
-		}
+	if err := p.merge(); err != nil {
+		return err
 	}
-	t2 := obs.StageClock(t0)
+	t3 := obs.StageEnd(p.tid, obs.StageMerge, t2)
 	err := p.Observers.OnTick(now)
-	t3 := obs.StageClock(t0)
-	obs.RecordTickSpans(p.obsv.tid, t0, t1, t2, t3)
-	if p.obsv.on {
-		p.obsFlush()
+	t4 := obs.StageEnd(p.tid, obs.StageObservers, t3)
+	obs.RecordSpan(p.tid, obs.StageTick, t0, t4)
+	if p.obsOn {
+		p.master.Flush()
 	}
 	return err
 }
 
-// tickNode runs one node's sample through the sequential stage chain.
-//
-//adf:hotpath
-func (p *Pipeline) tickNode(i int, s Sample) error {
-	if !p.stageChurn(s) {
-		return nil
-	}
-	forwarded, connected := p.stageCollect(i, s)
-	transmitted := false
-	if connected {
-		var err error
-		if transmitted, err = p.stageFilter(i, s, forwarded); err != nil {
-			return err
+// parallel runs task k for every k in [0, n): on the worker pool when
+// Workers > 1 and there is more than one task, otherwise inline in
+// ascending order. Either way every task computes the same thing.
+func (p *Pipeline) parallel(n int, task func(int)) {
+	if p.Workers <= 1 || n <= 1 {
+		for k := 0; k < n; k++ {
+			task(k)
 		}
+		return
 	}
-	return p.stageDeliver(s, transmitted)
+	if p.pool == nil {
+		p.pool = newWorkerPool(p.Workers)
+	}
+	p.pool.dispatch(n, task)
 }
 
-// stageAdvance advances every node's mobility model one sample period and
-// records the resulting samples. Movement continues even while a node is
-// absent from the grid (people keep walking after closing their laptop).
+// stageAdvance advances every node's mobility model one sample period,
+// in one contiguous node range per worker, and records the samples.
+// Movement continues even while a node is absent from the grid (people
+// keep walking after closing their laptop).
 func (p *Pipeline) stageAdvance(now float64) {
-	if cap(p.samples) < len(p.Nodes) {
-		p.samples = make([]Sample, len(p.Nodes))
-	}
-	p.samples = p.samples[:len(p.Nodes)]
-	if p.MobilityWorkers > 1 && p.pool == nil {
-		p.pool = newAdvancePool(p.MobilityWorkers)
-	}
-	if p.pool != nil {
-		p.pool.advance(p.Nodes, p.samples, p.SamplePeriod, now)
-		return
-	}
-	advanceRange(p.Nodes, p.samples, p.SamplePeriod, now, 0, len(p.Nodes))
+	p.chunks = min(max(p.Workers, 1), len(p.Nodes))
+	p.now = now
+	p.parallel(p.chunks, p.advanceFn)
 }
 
-// advanceRange advances the nodes in [lo, hi) and writes their samples.
-// Each node's mobility draws only from its private RNG stream, so disjoint
-// ranges can advance concurrently with sequential-identical results.
+// advanceChunk advances node range k of the tick's chunks. Each node's
+// mobility draws only from its private RNG stream, so disjoint ranges
+// can advance concurrently with sequential-identical results.
 //
 //adf:hotpath
-func advanceRange(nodes []*node.Node, samples []Sample, period, now float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		n := nodes[i]
-		pos := n.Advance(period)
-		samples[i] = Sample{Node: n.ID(), Region: n.Region(), Time: now, Pos: pos}
+func (p *Pipeline) advanceChunk(k int) {
+	n := len(p.Nodes)
+	for i := k * n / p.chunks; i < (k+1)*n/p.chunks; i++ {
+		nd := p.Nodes[i]
+		pos := nd.Advance(p.SamplePeriod)
+		p.samples[i] = Sample{Node: nd.ID(), Region: nd.Region(), Time: p.now, Pos: pos}
 	}
 }
 
-// advancePool is a persistent worker pool for the mobility-advance stage:
-// the goroutines are started once and fed contiguous node ranges through a
-// channel, so a steady-state tick dispatches with no allocation.
-type advancePool struct {
-	workers int
-	work    chan [2]int
-	wg      sync.WaitGroup
-
-	// Per-dispatch inputs, published before wg.Add/sends and read by
-	// workers only between receiving a range and wg.Done.
-	nodes   []*node.Node
-	samples []Sample
-	period  float64
-	now     float64
-}
-
-// newAdvancePool starts the pool's worker goroutines, which advance
-// disjoint node ranges over private RNG streams — results are
-// bit-for-bit identical to the sequential order.
-//
-//adf:owns queue:work — the workers launched here are the work channel's only receivers
-func newAdvancePool(workers int) *advancePool {
-	p := &advancePool{workers: workers, work: make(chan [2]int)}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for r := range p.work {
-				advanceRange(p.nodes, p.samples, p.period, p.now, r[0], r[1])
-				p.wg.Done()
+// stagePrepass is the sequential prefix of the per-node stages. It draws
+// the shared churn stream in node order into verdict, for the shards to
+// apply, and asks Rehome for this tick's migrations, recorded in node
+// order so the merge applies them identically at every worker count.
+// Keyed churn needs no prefix: each shard drains its own timeline
+// partition in the shard stage, unless Rehome must see this tick's
+// verdicts first.
+func (p *Pipeline) stagePrepass() {
+	p.handoffs = p.handoffs[:0]
+	if p.ChurnK != nil {
+		if p.Rehome == nil {
+			return
+		}
+		for _, sh := range p.shards {
+			p.ChurnK.ProcessPart(sh.idx, p.tick, sh)
+		}
+		for i := range p.samples {
+			if !p.ChurnK.Absent(p.samples[i].Node) {
+				p.rehome(i)
 			}
-		}()
-	}
-	return p
-}
-
-// advance shards [0, len(nodes)) into one contiguous range per worker and
-// blocks until every node has been advanced.
-func (p *advancePool) advance(nodes []*node.Node, samples []Sample, period, now float64) {
-	p.nodes, p.samples, p.period, p.now = nodes, samples, period, now
-	n := len(nodes)
-	shards := p.workers
-	if shards > n {
-		shards = n
-	}
-	if shards == 0 {
+		}
 		return
 	}
-	p.wg.Add(shards)
-	for s := 0; s < shards; s++ {
-		lo := s * n / shards
-		hi := (s + 1) * n / shards
-		p.work <- [2]int{lo, hi}
-	}
-	p.wg.Wait()
-}
-
-func (p *advancePool) close() { close(p.work) }
-
-// stageChurn applies leave/rejoin and reports whether the node takes part
-// in this tick. A departing node is forgotten by the filter and both
-// brokers, exercising the full forget/re-learn path on return.
-//
-//adf:hotpath
-func (p *Pipeline) stageChurn(s Sample) bool {
-	if p.ChurnK != nil {
-		return !p.ChurnK.Absent(s.Node)
-	}
-	if p.Churn == nil {
-		return true
-	}
-	present, left := p.Churn.Step(s.Node)
-	if left {
-		p.obsv.local.ChurnLeft++
-		p.Filter.Forget(s.Node)
-		p.NoLE.Forget(s.Node)
-		p.WithLE.Forget(s.Node)
-	}
-	return present
-}
-
-// ChurnEvent implements ChurnSink: the keyed churn timeline reports
-// each flip here, mirroring the departure forgets and the tick tallies
-// the sequential stageChurn performs.
-func (p *Pipeline) ChurnEvent(id int, left bool) {
-	if left {
-		p.obsv.local.ChurnLeft++
-		p.Filter.Forget(id)
-		p.NoLE.Forget(id)
-		p.WithLE.Forget(id)
+	if p.Churn == nil && p.Rehome == nil {
 		return
 	}
-	p.obsv.local.ChurnRejoined++
+	for i := range p.samples {
+		v := nodeIn
+		if p.Churn != nil {
+			switch in, left := p.Churn.Step(p.samples[i].Node); {
+			case left:
+				v = nodeLeft
+			case !in:
+				v = nodeOut
+			}
+		}
+		p.verdict[i] = v
+		if v == nodeIn {
+			p.rehome(i)
+		}
+	}
 }
 
-// buildCollectors resolves each node's home-region gateway once, so the
-// per-tick collect stage indexes a slice instead of hashing a region key.
-func (p *Pipeline) buildCollectors() error {
-	cs := make([]gateway.Collector, len(p.Nodes))
-	for i, n := range p.Nodes {
-		g, err := p.Net.Gateway(n.Region().ID)
-		if err != nil {
-			return err
-		}
-		cs[i] = g
+// rehome records node index i's handoff when Rehome moves it to another
+// existing region shard.
+func (p *Pipeline) rehome(i int) {
+	if p.Rehome == nil {
+		return
 	}
-	p.collectors = cs
-	if p.ChurnK != nil {
-		ids := make([]int, len(p.Nodes))
-		for i, n := range p.Nodes {
-			ids[i] = n.ID()
-		}
-		p.ChurnK.InitParts([][]int{ids})
+	if to, ok := p.shardOf[p.Rehome(p.samples[i])]; ok && to != p.owner[i] {
+		p.handoffs = append(p.handoffs, handoff{node: i, from: p.owner[i], to: to})
 	}
-	p.buildObs()
-	return nil
-}
-
-// stageCollect passes the sample through its region's gateway; connected
-// is false when the wireless hop dropped it.
-//
-//adf:hotpath
-func (p *Pipeline) stageCollect(i int, s Sample) (filter.LU, bool) {
-	return p.collectors[i].Collect(filter.LU{Node: s.Node, Time: s.Time, Pos: s.Pos})
-}
-
-// stageFilter notifies OnOffered, offers the forwarded LU to the
-// distance filter and mirrors the verdict into the observability batch,
-// returning the transmit decision.
-//
-//adf:hotpath
-func (p *Pipeline) stageFilter(i int, s Sample, forwarded filter.LU) (bool, error) {
-	if err := p.Observers.OnOffered(s); err != nil {
-		return false, err
-	}
-	d := p.Filter.Offer(forwarded)
-	p.obsv.local.Offered++
-	filter.Observe(d, &p.obsv.local, p.obsv.on)
-	r := &p.obsv.regions[p.obsv.regionSlot[i]]
-	r.offered++
-	if d.Transmit {
-		r.sent++
-	}
-	if p.obsv.on && obs.Events.Verbose() {
-		//adf:allow hotpath — opt-in per-LU event logging; the default
-		// path stops at the Verbose atomic load above.
-		obs.Events.Emit("lu",
-			obs.F("t", s.Time), obs.F("node", float64(s.Node)),
-			obs.F("sent", b2f(d.Transmit)), obs.F("dist", d.Distance), obs.F("dth", d.Threshold))
-	}
-	return d.Transmit, nil
-}
-
-// stageDeliver is the broker-delivery and error-measurement stage: each
-// broker variant takes the tick's outcome through one Step call — a
-// transmitted LU is stored, a filtered or dropped one refreshes the
-// belief — and the believed-vs-true distance is measured for nodes the
-// broker knows about. The broker cannot tell a filtered LU from a dropped
-// one; either way it refreshes its belief.
-//
-//adf:hotpath
-func (p *Pipeline) stageDeliver(s Sample, transmitted bool) error {
-	if transmitted {
-		p.obsv.local.BrokerReceived++
-		if err := p.Observers.OnTransmitted(s); err != nil {
-			return err
-		}
-	}
-	if e, ok := p.NoLE.Step(s.Node, s.Time, s.Pos, transmitted); ok {
-		if err := p.Observers.OnError(s, NoLE, e.Pos.Dist(s.Pos)); err != nil {
-			return err
-		}
-	}
-	if e, ok := p.WithLE.Step(s.Node, s.Time, s.Pos, transmitted); ok {
-		if e.Estimated {
-			p.obsv.local.BrokerEstimated++
-		}
-		if err := p.Observers.OnError(s, WithLE, e.Pos.Dist(s.Pos)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -9,6 +12,7 @@ import (
 	"github.com/mobilegrid/adf/internal/filter"
 	"github.com/mobilegrid/adf/internal/gateway"
 	"github.com/mobilegrid/adf/internal/node"
+	"github.com/mobilegrid/adf/internal/obs"
 	"github.com/mobilegrid/adf/internal/sim"
 )
 
@@ -118,6 +122,8 @@ func TestPipelineValidate(t *testing.T) {
 		func(p *Pipeline) { p.NoLE = nil },
 		func(p *Pipeline) { p.WithLE = nil },
 		func(p *Pipeline) { p.SamplePeriod = 0 },
+		func(p *Pipeline) { p.NewFilter = func() (filter.Filter, error) { return filter.NewIdealLU(), nil } },
+		func(p *Pipeline) { p.Rehome = func(s Sample) campus.RegionID { return s.Region.ID } },
 	}
 	for i, breakit := range breakages {
 		q := newTestPipeline(t, 0, nil)
@@ -211,5 +217,52 @@ func (f funcObserver) OnTick(now float64) error { return f.onTick(now) }
 func TestVariantString(t *testing.T) {
 	if NoLE.String() != "no-le" || WithLE.String() != "with-le" {
 		t.Errorf("variant names = %q/%q", NoLE.String(), WithLE.String())
+	}
+}
+
+// TestVerboseLUEvents: with verbose obs events on, every offered LU is
+// logged once as an "lu" event. The events are emitted by the merge in
+// shard order, so the global shape logs each tick's LUs in node order
+// even when its advance stage runs on several workers.
+func TestVerboseLUEvents(t *testing.T) {
+	was := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(was)
+	var events bytes.Buffer
+	obs.Events.SetOutput(&events)
+	defer obs.Events.SetOutput(nil)
+	obs.Events.SetVerbose(true)
+	defer obs.Events.SetVerbose(false)
+
+	counter := &countingObserver{}
+	p := newTestPipeline(t, 0.2, nil, counter)
+	p.Workers = 3
+	if err := p.Run(sim.New(), 5); err != nil {
+		t.Fatal(err)
+	}
+	obs.Events.SetOutput(nil)
+
+	lus := 0
+	lastT, lastNode := 0.0, -1
+	sc := bufio.NewScanner(&events)
+	for sc.Scan() {
+		var e struct {
+			Kind    string
+			T, Node float64
+		}
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("event %q: %v", sc.Text(), err)
+		}
+		if e.Kind != "lu" {
+			continue
+		}
+		lus++
+		if e.T < lastT || e.T == lastT && int(e.Node) <= lastNode {
+			t.Fatalf("lu event (t=%v node=%v) after (t=%v node=%d): not in tick, node order", e.T, e.Node, lastT, lastNode)
+		}
+		lastT, lastNode = e.T, int(e.Node)
+	}
+	if lus == 0 || lus != counter.offered {
+		t.Errorf("%d lu events for %d offered LUs", lus, counter.offered)
 	}
 }

@@ -8,122 +8,32 @@ import (
 	"github.com/mobilegrid/adf/internal/broker"
 	"github.com/mobilegrid/adf/internal/campus"
 	"github.com/mobilegrid/adf/internal/filter"
-	"github.com/mobilegrid/adf/internal/gateway"
-	"github.com/mobilegrid/adf/internal/node"
 	"github.com/mobilegrid/adf/internal/obs"
-	"github.com/mobilegrid/adf/internal/sanitize"
-	"github.com/mobilegrid/adf/internal/sim"
 )
 
-// Sharded is the region-sharded whole-tick pipeline: the same stage
-// chain as Pipeline — mobility advance → churn → gateway collect →
-// filter → broker delivery — but with the per-node stages partitioned
-// into one shard per campus region, executed by a bounded worker pool
-// and folded back by a deterministic merge.
-//
-// The shard key is the gateway: every node is owned by exactly one
-// region shard, and a shard's stage chain touches only shard-local
-// state — the region's gateway (and its private RNG stream), the
-// shard's own filter instance, and each owned node's broker records
-// (shard-safe after Preallocate because the dense.Slab does no shared
-// bookkeeping). Cross-shard effects — observer fan-out, broker tallies,
-// migration handoff — are buffered per shard and applied by the merge
-// step in ascending region-ID order, never in map-range or completion
-// order. Results are therefore bit-for-bit identical at every worker
-// count: Workers only changes which OS thread runs a shard, never what
-// the shard computes or the order the effects are applied in.
-//
-// Two draws remain global and run as a sequential prepass in node
-// order, exactly as Pipeline consumes them: the churn stream (one
-// shared RNG) and migration detection (the Rehome hook). Everything
-// downstream is shard-local.
-//
-// Relative to Pipeline, each shard owns a private filter instance, so a
-// clustering filter like the ADF clusters per region rather than
-// campus-wide — the per-region cost-model independence that makes the
-// shards embarrassingly parallel. Per-node filters (GeneralDF, IdealLU)
-// behave identically either way.
-type Sharded struct {
-	// Nodes is the mobile population, advanced in slice order every tick.
-	Nodes []*node.Node
-	// Net is the per-region wireless gateway network.
-	Net *gateway.Network
-	// NewFilter builds one filter instance per region shard.
-	NewFilter func() (filter.Filter, error)
-	// NoLE and WithLE are the two broker variants, shared across shards:
-	// the location DB is the wired-grid side and stays global. Their
-	// dense windows are Preallocate-d at build so concurrent shard Steps
-	// on disjoint node sets are race-free.
-	NoLE, WithLE *broker.Broker
-	// Churn, when non-nil, lets nodes leave and rejoin the grid. Its
-	// single RNG stream is consumed by the sequential prepass in node
-	// order, exactly as Pipeline consumes it.
-	Churn *Churn
-	// ChurnK is the keyed-mode churn timeline (at most one of Churn and
-	// ChurnK may be set). Its draws are order-independent, so each shard
-	// processes its own timeline partition inside the shard stage — with
-	// a nil Rehome the sequential prepass disappears entirely.
-	ChurnK *KeyedChurn
-	// SamplePeriod is the sampling interval in virtual seconds.
-	SamplePeriod float64
-	// Observers receive the pipeline's events, replayed sequentially by
-	// the merge step in shard order (they are never called concurrently).
-	Observers Observers
-	// Workers bounds the shard worker pool; 0 or 1 runs the shards
-	// inline in shard order (the sequential reference). The mobility
-	// advance stage uses the same worker count.
-	Workers int
-	// Rehome, when set, is the migration hook: it maps a node's sample
-	// to the region shard that should own it from the next tick on. It
-	// must be a pure function of the sample so every worker count agrees
-	// on the handoff set. The node is still processed by its old shard
-	// on the tick it migrates; ownership and filter state transfer at
-	// merge. A nil Rehome pins every node to its home region (the
-	// current mobility models never change a node's region).
-	Rehome func(s Sample) campus.RegionID
+// globalShard labels the global shape's one shard in metrics and digests.
+const globalShard = "campus"
 
-	built   bool
-	samples []Sample
-	// present[i] is the churn prepass verdict for node index i.
-	present []bool
-	// owner[i] is the index in shards of node i's owning shard.
-	owner    []int
-	shards   []*shardCtx
-	shardOf  map[campus.RegionID]int
-	handoffs []handoff
-	pool     *advancePool
-	spool    *shardPool
-	san      sanitizerState
-
-	obsOn  bool
-	tid    uint32
-	master obs.TickLocal
-	// tick counts processed sampling rounds; it keys the churn timeline.
-	tick uint64
-}
-
-// shardCtx is one region shard's private state: everything its stage
-// chain touches without synchronisation, plus the buffered cross-shard
-// effects the merge step applies.
+// shardCtx is one shard's private state: everything its stage chain
+// touches without synchronisation, plus the buffered cross-shard effects
+// the merge step applies.
 type shardCtx struct {
-	idx      int
-	regionID campus.RegionID
-	gw       gateway.Collector
-	filt     filter.Filter
-	// members are the owned node indices, ascending — the same relative
-	// order Pipeline's global loop visits them in, so the shard consumes
-	// its gateway stream as the identical subsequence.
+	idx int
+	// label is the shard's region ID, or globalShard.
+	label string
+	filt  filter.Filter
+	// members are the owned node indices, ascending — the node order, so
+	// every gateway stream is consumed as the same subsequence in both
+	// shapes.
 	members []int
 	// outcomes buffers this tick's per-node results for the merge step's
 	// observer replay. Reused; capacity settles at the member count.
 	outcomes []outcome
+	// lus buffers the opt-in per-LU events, emitted at merge.
+	lus []luEvent
 	// local batches the shard's counter/histogram tallies; merged into
 	// the pipeline's master batch in shard order.
 	local obs.TickLocal
-	// offered/sent accumulate the region's labeled counters between
-	// observability flushes.
-	offered, sent   uint64
-	offeredC, sentC *obs.Counter
 	// noLE/withLE collect the shard's broker attributions, folded back
 	// via Broker.AddTally in shard order.
 	noLE, withLE broker.Tally
@@ -139,10 +49,11 @@ type shardCtx struct {
 	startNS, endNS int64
 }
 
-// ChurnEvent implements ChurnSink for the shard's own churn partition:
-// tallies go into the shard-local batch (merged in shard order), and a
-// departure forgets the node from the shard's filter and both brokers —
-// all shard-safe, since the partition only ever reports owned nodes.
+// ChurnEvent implements ChurnSink for the shard's own churn partition,
+// and applies the shard's sequential-churn departures: tallies go into
+// the shard-local batch (merged in shard order), and a departure forgets
+// the node from the shard's filter and both brokers — all shard-safe,
+// since only owned nodes are ever reported.
 func (sh *shardCtx) ChurnEvent(id int, left bool) {
 	if left {
 		sh.local.ChurnLeft++
@@ -171,88 +82,78 @@ const (
 	ocWithLE
 )
 
+// luEvent is one filter verdict for the opt-in per-LU event log.
+type luEvent struct {
+	t, dist, dth float64
+	node         int
+	sent         bool
+}
+
 // handoff is one node's pending migration, applied at merge.
 type handoff struct {
 	node     int
 	from, to int
 }
 
-// Validate reports wiring errors.
-func (p *Sharded) Validate() error {
-	switch {
-	case len(p.Nodes) == 0:
-		return fmt.Errorf("engine: sharded pipeline has no nodes")
-	case p.Net == nil:
-		return fmt.Errorf("engine: sharded pipeline has no gateway network")
-	case p.NewFilter == nil:
-		return fmt.Errorf("engine: sharded pipeline has no filter factory")
-	case p.NoLE == nil || p.WithLE == nil:
-		return fmt.Errorf("engine: sharded pipeline needs both broker variants")
-	case p.SamplePeriod <= 0:
-		return fmt.Errorf("engine: non-positive sample period %v", p.SamplePeriod)
-	case p.Workers < 0:
-		return fmt.Errorf("engine: negative Workers %d", p.Workers)
-	case p.Churn != nil && p.ChurnK != nil:
-		return fmt.Errorf("engine: both Churn and ChurnK set; pick one churn model")
-	}
-	return nil
-}
-
-// build resolves the shard set: one shard per distinct home region, in
-// ascending region-ID order, each with its gateway, its own filter
-// instance and its member list. It also pre-sizes the brokers' dense
-// windows and the reusable tick buffers.
-func (p *Sharded) build() error {
+// build resolves the shards: the distinct home regions in ascending ID
+// order with their gateways and LU counters, every node's region slot,
+// and either one global shard over all nodes or one shard per region
+// with its own filter instance. It also pre-sizes the brokers' dense windows
+// and the reusable tick buffers.
+func (p *Pipeline) build() error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	p.shardOf = make(map[campus.RegionID]int)
+	slotOf := make(map[campus.RegionID]int)
 	var ids []campus.RegionID
 	for _, n := range p.Nodes {
 		id := n.Region().ID
-		if _, ok := p.shardOf[id]; !ok {
-			p.shardOf[id] = -1 // placeholder until sorted
+		if _, ok := slotOf[id]; !ok {
+			slotOf[id] = -1 // placeholder until sorted
 			ids = append(ids, id)
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	p.shards = make([]*shardCtx, len(ids))
-	for i, id := range ids {
+	p.regions = make([]region, len(ids))
+	for k, id := range ids {
 		gw, err := p.Net.Gateway(id)
 		if err != nil {
 			return err
 		}
-		filt, err := p.NewFilter()
-		if err != nil {
-			return fmt.Errorf("engine: shard %s filter: %w", id, err)
-		}
-		p.shards[i] = &shardCtx{
-			idx:      i,
-			regionID: id,
-			gw:       gw,
-			filt:     filt,
-			offeredC: obs.RegionOffered(string(id)),
-			sentC:    obs.RegionSent(string(id)),
-			shardH:   obs.ShardSeconds(string(id)),
-			nodesG:   obs.ShardNodes(string(id)),
-		}
-		p.shards[i].local.Init()
-		p.shardOf[id] = i
+		slotOf[id] = k
+		p.regions[k] = region{gw: gw, offeredC: obs.RegionOffered(string(id)), sentC: obs.RegionSent(string(id))}
 	}
-	p.owner = make([]int, len(p.Nodes))
-	p.present = make([]bool, len(p.Nodes))
-	maxID := 0
-	for i, n := range p.Nodes {
-		s := p.shardOf[n.Region().ID]
-		p.owner[i] = s
-		p.shards[s].members = append(p.shards[s].members, i)
-		if n.ID() > maxID {
-			maxID = n.ID()
+	if p.NewFilter == nil {
+		p.shards = []*shardCtx{p.newShardCtx(0, globalShard, p.Filter)}
+	} else {
+		p.shards = make([]*shardCtx, len(ids))
+		for k, id := range ids {
+			filt, err := p.NewFilter()
+			if err != nil {
+				return fmt.Errorf("engine: shard %s filter: %w", id, err)
+			}
+			p.shards[k] = p.newShardCtx(k, string(id), filt)
 		}
+		p.shardOf = slotOf
+	}
+	n := len(p.Nodes)
+	p.slot = make([]int, n)
+	p.owner = make([]int, n)
+	p.verdict = make([]verdict, n)
+	maxID := 0
+	for i, nd := range p.Nodes {
+		k := slotOf[nd.Region().ID]
+		p.slot[i] = k
+		if p.NewFilter != nil {
+			p.owner[i] = k
+		}
+		sh := p.shards[p.owner[i]]
+		sh.members = append(sh.members, i)
+		maxID = max(maxID, nd.ID())
 	}
 	p.NoLE.Preallocate(maxID + 1)
 	p.WithLE.Preallocate(maxID + 1)
-	p.samples = make([]Sample, len(p.Nodes))
+	p.samples = make([]Sample, n)
 	p.tid = obs.NextTID()
 	p.master.Init()
 	if p.Churn != nil {
@@ -260,204 +161,79 @@ func (p *Sharded) build() error {
 	}
 	if p.ChurnK != nil {
 		partIDs := make([][]int, len(p.shards))
-		for i, sh := range p.shards {
-			ids := make([]int, len(sh.members))
-			for k, m := range sh.members {
-				ids[k] = p.Nodes[m].ID()
+		for k, sh := range p.shards {
+			partIDs[k] = make([]int, len(sh.members))
+			for j, m := range sh.members {
+				partIDs[k][j] = p.Nodes[m].ID()
 			}
-			partIDs[i] = ids
-			sh.noLEB, sh.withLEB = p.NoLE, p.WithLE
 		}
 		p.ChurnK.InitParts(partIDs)
 	}
+	p.advanceFn, p.shardFn = p.advanceChunk, p.runShard
 	p.built = true
 	return nil
 }
 
-// Run schedules the sharded pipeline on s at every sample period and
-// executes until the horizon, surfacing the first stage or observer
-// error. The worker pools are released before Run returns.
-func (p *Sharded) Run(s *sim.Simulator, horizon float64) error {
-	if err := p.Validate(); err != nil {
-		return err
+func (p *Pipeline) newShardCtx(idx int, label string, filt filter.Filter) *shardCtx {
+	sh := &shardCtx{
+		idx:     idx,
+		label:   label,
+		filt:    filt,
+		noLEB:   p.NoLE,
+		withLEB: p.WithLE,
+		shardH:  obs.ShardSeconds(label),
+		nodesG:  obs.ShardNodes(label),
 	}
-	defer p.Close()
-	if _, err := s.EveryErr(p.SamplePeriod, p.SamplePeriod, p.Tick); err != nil {
-		return err
-	}
-	return s.RunUntil(horizon)
+	sh.local.Init()
+	return sh
 }
 
-// Close releases the worker pools, if started. Safe to call repeatedly;
-// a later Tick restarts them.
-func (p *Sharded) Close() {
-	if p.pool != nil {
-		p.pool.close()
-		p.pool = nil
-	}
-	if p.spool != nil {
-		p.spool.close()
-		p.spool = nil
-	}
-}
-
-// Tick processes one sampling round: advance positions every node, the
-// sequential prepass draws churn and detects migrations in node order,
-// the shard stage runs every region shard on the worker pool, and the
-// merge step replays the buffered effects in ascending region-ID order.
-func (p *Sharded) Tick(now float64) error {
-	if !p.built {
-		if err := p.build(); err != nil {
-			return err
-		}
-	}
-	p.obsOn = obs.Enabled()
-	t0 := obs.StageStart()
-	p.stageAdvance(now)
-	t1 := obs.StageEnd(p.tid, obs.StageAdvance, t0)
-	p.sanitizeTick(now)
-	p.tick++
-	p.stagePrepass()
-	p.stageShards()
-	t2 := obs.StageEnd(p.tid, obs.StageNodes, t1)
-	if err := p.merge(); err != nil {
-		return err
-	}
-	t3 := obs.StageEnd(p.tid, obs.StageMerge, t2)
-	err := p.Observers.OnTick(now)
-	t4 := obs.StageEnd(p.tid, obs.StageObservers, t3)
-	obs.RecordSpan(p.tid, obs.StageTick, t0, t4)
-	if p.obsOn {
-		p.master.Flush()
-	}
-	return err
-}
-
-// stageAdvance advances every node one sample period (in parallel when
-// Workers > 1) and fills the sample buffer. Like Pipeline, movement
-// continues while a node is absent from the grid.
-func (p *Sharded) stageAdvance(now float64) {
-	if p.Workers > 1 && p.pool == nil {
-		p.pool = newAdvancePool(p.Workers)
-	}
-	if p.pool != nil {
-		p.pool.advance(p.Nodes, p.samples, p.SamplePeriod, now)
-		return
-	}
-	advanceRange(p.Nodes, p.samples, p.SamplePeriod, now, 0, len(p.Nodes))
-}
-
-// stagePrepass is the sequential prefix of the per-node stages: it
-// draws the shared churn stream in node order (the identical sequence
-// Pipeline consumes), performs departure forgets against the owning
-// shard's filter and both brokers, and asks Rehome for this tick's
-// migrations. Handoffs are recorded in node order, so the merge step
-// applies them deterministically at every worker count.
-func (p *Sharded) stagePrepass() {
-	p.handoffs = p.handoffs[:0]
-	if p.ChurnK != nil {
-		// Keyed mode: churn needs no sequential prefix. Without a
-		// migration hook there is nothing to do here at all — each shard
-		// processes its own churn partition inside the shard stage. With
-		// one, the timeline partitions are drained now (runShard's drain
-		// is then an idempotent no-op) so the handoff scan sees this
-		// tick's verdicts.
-		if p.Rehome == nil {
-			return
-		}
-		for _, sh := range p.shards {
-			p.ChurnK.ProcessPart(sh.idx, p.tick, sh)
-		}
-		for i := range p.samples {
-			s := &p.samples[i]
-			if p.ChurnK.Absent(s.Node) {
-				continue
-			}
-			if to, ok := p.shardOf[p.Rehome(*s)]; ok && to != p.owner[i] {
-				p.handoffs = append(p.handoffs, handoff{node: i, from: p.owner[i], to: to})
-			}
-		}
-		return
-	}
-	for i := range p.samples {
-		s := &p.samples[i]
-		present := true
-		if p.Churn != nil {
-			var left bool
-			present, left = p.Churn.Step(s.Node)
-			if left {
-				p.master.ChurnLeft++
-				p.shards[p.owner[i]].filt.Forget(s.Node)
-				p.NoLE.Forget(s.Node)
-				p.WithLE.Forget(s.Node)
-			}
-		}
-		p.present[i] = present
-		if p.Rehome != nil && present {
-			if to, ok := p.shardOf[p.Rehome(*s)]; ok && to != p.owner[i] {
-				p.handoffs = append(p.handoffs, handoff{node: i, from: p.owner[i], to: to})
-			}
-		}
-	}
-}
-
-// stageShards runs every shard's stage chain, inline in shard order
-// when Workers <= 1, otherwise on the persistent worker pool. Either
-// way each shard computes exactly the same thing — the pool only
-// changes which thread runs it.
-func (p *Sharded) stageShards() {
-	if p.Workers > 1 && p.spool == nil {
-		p.spool = newShardPool(p.Workers, p.runShard)
-	}
-	if p.spool != nil {
-		p.spool.dispatch(p.shards)
-		return
-	}
-	for _, sh := range p.shards {
-		p.runShard(sh)
-	}
-}
-
-// runShard executes one shard's per-node stage chain — gateway collect,
+// runShard executes shard k's per-node stage chain — gateway collect,
 // filter, broker delivery — over its members in ascending index order,
-// buffering the observer events and error distances for the merge step.
+// firing each node's observer events when the stage runs inline and
+// otherwise buffering them, with the error distances, for the merge.
 // Everything it writes is shard-local or keyed by an owned node; the
 // shardstage lint rule holds it (and future edits) to that.
 //
 //adf:hotpath
 //adf:shardstage
-func (p *Sharded) runShard(sh *shardCtx) {
+func (p *Pipeline) runShard(k int) {
+	sh := p.shards[k]
 	sh.startNS = obs.StageStart()
 	sh.outcomes = sh.outcomes[:0]
+	sh.lus = sh.lus[:0]
 	if p.ChurnK != nil {
 		p.ChurnK.ProcessPart(sh.idx, p.tick, sh) //adf:allow hotpath — event timeline; buckets recycle through a free list
 	}
 	for _, i := range sh.members {
+		s := &p.samples[i]
 		if p.ChurnK != nil {
-			if p.ChurnK.Absent(p.samples[i].Node) {
+			if p.ChurnK.Absent(s.Node) {
 				continue
 			}
-		} else if !p.present[i] {
+		} else if v := p.verdict[i]; v != nodeIn {
+			if v == nodeLeft {
+				sh.ChurnEvent(s.Node, true)
+			}
 			continue
 		}
-		s := &p.samples[i]
 		o := outcome{idx: int32(i)}
-		forwarded, connected := sh.gw.Collect(filter.LU{Node: s.Node, Time: s.Time, Pos: s.Pos})
+		forwarded, connected := p.regions[p.slot[i]].gw.Collect(filter.LU{Node: s.Node, Time: s.Time, Pos: s.Pos})
 		transmitted := false
 		if connected {
 			o.flags |= ocOffered
 			d := sh.filt.Offer(forwarded)
 			sh.local.Offered++
 			filter.Observe(d, &sh.local, p.obsOn)
-			sh.offered++
 			if d.Transmit {
-				sh.sent++
+				o.flags |= ocTransmitted
+				sh.local.BrokerReceived++
 				transmitted = true
 			}
-		}
-		if transmitted {
-			o.flags |= ocTransmitted
-			sh.local.BrokerReceived++
+			if p.verbose {
+				//adf:allow hotpath — opt-in per-LU event log; off unless obs events are verbose
+				sh.lus = append(sh.lus, luEvent{t: s.Time, dist: d.Distance, dth: d.Threshold, node: s.Node, sent: d.Transmit})
+			}
 		}
 		if e, ok := p.NoLE.StepTally(s.Node, s.Time, s.Pos, transmitted, &sh.noLE); ok {
 			o.flags |= ocNoLE
@@ -470,73 +246,112 @@ func (p *Sharded) runShard(sh *shardCtx) {
 				sh.local.BrokerEstimated++
 			}
 		}
+		if p.direct {
+			if p.err == nil {
+				p.err = p.replay(s, &o)
+			}
+			continue
+		}
 		sh.outcomes = append(sh.outcomes, o) //adf:allow hotpath — reused buffer; capacity settles at the member count
 	}
 	sh.endNS = obs.StageStart()
 }
 
-// merge is the deterministic fold: for every shard in ascending
-// region-ID order it replays the buffered observer events (the same
-// per-node event order Pipeline emits), folds the broker tallies and
-// the observability batch, then applies the migration handoffs in the
-// node order the prepass recorded them. No step here depends on worker
-// scheduling, so the merged state is identical at every worker count.
-func (p *Sharded) merge() error {
+// merge is the deterministic fold: for every shard in order it replays
+// the buffered observer events, if any (per node: offered, transmitted,
+// no-LE error, with-LE error), folds the broker tallies and the observability
+// batch, then applies the migration handoffs in the node order the
+// prepass recorded them. No step here depends on worker scheduling, so
+// the merged state is identical at every worker count.
+func (p *Pipeline) merge() error {
 	for _, sh := range p.shards {
 		for k := range sh.outcomes {
 			o := &sh.outcomes[k]
-			s := p.samples[o.idx]
-			if o.flags&ocOffered != 0 {
-				if err := p.Observers.OnOffered(s); err != nil {
-					return err
-				}
-			}
-			if o.flags&ocTransmitted != 0 {
-				if err := p.Observers.OnTransmitted(s); err != nil {
-					return err
-				}
-			}
-			if o.flags&ocNoLE != 0 {
-				if err := p.Observers.OnError(s, NoLE, o.distNoLE); err != nil {
-					return err
-				}
-			}
-			if o.flags&ocWithLE != 0 {
-				if err := p.Observers.OnError(s, WithLE, o.distWithLE); err != nil {
-					return err
-				}
+			if err := p.replay(&p.samples[o.idx], o); err != nil {
+				return err
 			}
 		}
 		p.NoLE.AddTally(&sh.noLE)
 		p.WithLE.AddTally(&sh.withLE)
 		p.master.Merge(&sh.local)
 		if p.obsOn {
-			if sh.offered > 0 {
-				sh.offeredC.Add(sh.offered)
-				sh.offered = 0
-			}
-			if sh.sent > 0 {
-				sh.sentC.Add(sh.sent)
-				sh.sent = 0
+			for k := range sh.lus {
+				l := &sh.lus[k]
+				obs.Events.Emit("lu",
+					obs.F("t", l.t), obs.F("node", float64(l.node)),
+					obs.F("sent", b2f(l.sent)), obs.F("dist", l.dist), obs.F("dth", l.dth))
 			}
 			obs.RecordShardSpan(p.tid, sh.idx, sh.shardH, sh.startNS, sh.endNS)
 		}
 	}
 	p.applyHandoffs()
 	if p.obsOn {
-		for _, sh := range p.shards {
-			sh.nodesG.Set(int64(len(sh.members)))
+		p.flushRegions()
+	}
+	return nil
+}
+
+// replay fires the observer events of one node's outcome o for sample s
+// and, while obs is on, counts them against the region whose gateway
+// collected the LU.
+func (p *Pipeline) replay(s *Sample, o *outcome) error {
+	if p.obsOn {
+		r := &p.regions[p.slot[o.idx]]
+		if o.flags&ocOffered != 0 {
+			r.offered++
+		}
+		if o.flags&ocTransmitted != 0 {
+			r.sent++
+		}
+	}
+	if o.flags&ocOffered != 0 {
+		if err := p.Observers.OnOffered(*s); err != nil {
+			return err
+		}
+	}
+	if o.flags&ocTransmitted != 0 {
+		if err := p.Observers.OnTransmitted(*s); err != nil {
+			return err
+		}
+	}
+	if o.flags&ocNoLE != 0 {
+		if err := p.Observers.OnError(*s, NoLE, o.distNoLE); err != nil {
+			return err
+		}
+	}
+	if o.flags&ocWithLE != 0 {
+		if err := p.Observers.OnError(*s, WithLE, o.distWithLE); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// applyHandoffs moves each migrating node to its new shard: the filter
-// state transfers through filter.NodeStateMover when both instances
-// support it (the ADF moves the classifier window and re-assigns the
-// cluster membership), otherwise the source forgets and the destination
-// re-learns. Membership lists stay ascending.
-func (p *Sharded) applyHandoffs() {
+// flushRegions publishes the per-region LU tallies and shard sizes.
+func (p *Pipeline) flushRegions() {
+	for i := range p.regions {
+		r := &p.regions[i]
+		if r.offered > 0 {
+			r.offeredC.Add(r.offered)
+			r.offered = 0
+		}
+		if r.sent > 0 {
+			r.sentC.Add(r.sent)
+			r.sent = 0
+		}
+	}
+	for _, sh := range p.shards {
+		sh.nodesG.Set(int64(len(sh.members)))
+	}
+}
+
+// applyHandoffs moves each migrating node to its new region shard: the
+// node's samples are collected by the destination region's gateway from
+// now on, and its filter state transfers through filter.NodeStateMover
+// when both instances support it (the ADF moves the classifier window
+// and re-assigns the cluster membership), otherwise the source forgets
+// and the destination re-learns. Membership lists stay ascending.
+func (p *Pipeline) applyHandoffs() {
 	for _, h := range p.handoffs {
 		src, dst := p.shards[h.from], p.shards[h.to]
 		nodeID := p.samples[h.node].Node
@@ -548,7 +363,8 @@ func (p *Sharded) applyHandoffs() {
 		}
 		src.members = removeSorted(src.members, h.node)
 		dst.members = insertSorted(dst.members, h.node)
-		p.owner[h.node] = h.to
+		// In the region shape a shard's index is its region's slot.
+		p.owner[h.node], p.slot[h.node] = h.to, h.to
 	}
 }
 
@@ -570,50 +386,23 @@ func insertSorted(s []int, v int) []int {
 	return s
 }
 
-// StateDigest returns the FNV-1a checksum of the sharded pipeline's
-// full simulation state: every node's identity and true position, both
-// brokers' DBs and counters, then per shard (ascending region ID) the
-// shard's identity, membership and filter state when the filter exposes
-// a digest, and finally the churn population. Two runs at different
-// worker counts are bit-for-bit identical exactly when this digest
-// matches tick for tick; CompareShardDigests drives it.
-func (p *Sharded) StateDigest() uint64 {
-	d := sanitize.NewDigest()
-	for _, n := range p.Nodes {
-		d.WriteInt(n.ID())
-		pos := n.Pos()
-		d.WriteFloat64(pos.X)
-		d.WriteFloat64(pos.Y)
+// b2f renders a bool as a numeric event field.
+func b2f(v bool) float64 {
+	if v {
+		return 1
 	}
-	p.NoLE.DigestState(&d)
-	p.WithLE.DigestState(&d)
-	for _, sh := range p.shards {
-		d.WriteString(string(sh.regionID))
-		d.WriteInt(len(sh.members))
-		for _, i := range sh.members {
-			d.WriteInt(p.Nodes[i].ID())
-		}
-		if f, ok := sh.filt.(StateDigester); ok {
-			f.DigestState(&d)
-		}
-	}
-	if p.Churn != nil {
-		d.WriteInt(p.Churn.AbsentCount())
-	} else if p.ChurnK != nil {
-		d.WriteInt(p.ChurnK.AbsentCount())
-	}
-	return d.Sum()
+	return 0
 }
 
-// ShardCount returns the number of region shards (0 before the first
-// tick builds them).
-func (p *Sharded) ShardCount() int { return len(p.shards) }
+// ShardCount returns the number of shards (0 before the first tick
+// builds them): 1 in the global shape, one per region otherwise.
+func (p *Pipeline) ShardCount() int { return len(p.shards) }
 
-// ShardFilters returns each shard's filter instance in ascending
-// region-ID order (empty before the first tick builds the shards), so
-// callers can fold per-shard filter summaries — e.g. total ADF cluster
-// counts — after a run.
-func (p *Sharded) ShardFilters() []filter.Filter {
+// ShardFilters returns each shard's filter instance in shard order
+// (empty before the first tick builds the shards), so callers can fold
+// per-shard filter summaries — e.g. total ADF cluster counts — after a
+// run.
+func (p *Pipeline) ShardFilters() []filter.Filter {
 	out := make([]filter.Filter, len(p.shards))
 	for i, sh := range p.shards {
 		out[i] = sh.filt
@@ -621,34 +410,36 @@ func (p *Sharded) ShardFilters() []filter.Filter {
 	return out
 }
 
-// OwnerOf returns the region ID of the shard currently owning the node
-// at slice index i, for tests asserting migration handoff.
-func (p *Sharded) OwnerOf(i int) campus.RegionID {
-	return p.shards[p.owner[i]].regionID
+// OwnerOf returns the label of the shard currently owning the node at
+// slice index i — its region ID in the region shape — for tests
+// asserting migration handoff.
+func (p *Pipeline) OwnerOf(i int) campus.RegionID {
+	return campus.RegionID(p.shards[p.owner[i]].label)
 }
 
-// shardPool is a persistent worker pool for the shard stage: goroutines
-// are started once and fed shard contexts through a channel, so a
-// steady-state tick dispatches with no allocation.
-type shardPool struct {
-	work chan *shardCtx
+// workerPool is the pipeline's persistent worker pool for the advance
+// and shard stages: goroutines are started once and fed task indices
+// through a channel, so a steady-state dispatch allocates nothing.
+type workerPool struct {
+	work chan int
 	wg   sync.WaitGroup
-	run  func(*shardCtx)
+	// task is the current dispatch's body, published before the sends
+	// and read by workers only between receiving an index and wg.Done.
+	task func(int)
 }
 
-// newShardPool starts the pool's worker goroutines. Shard workers
-// mutate only shard-local state (plus disjoint broker records behind
-// Preallocate); all cross-shard effects are buffered and merged in
-// stable shard order, so results are bit-for-bit identical to the
-// inline shard-order run.
+// newWorkerPool starts the pool's worker goroutines. Tasks mutate only
+// state their index owns — a node range's samples, a shard's context —
+// and every cross-task effect is merged in stable order afterwards, so
+// results are bit-for-bit identical to the inline run.
 //
 //adf:owns queue:work — the workers launched here are the work channel's only receivers
-func newShardPool(workers int, run func(*shardCtx)) *shardPool {
-	p := &shardPool{work: make(chan *shardCtx), run: run}
+func newWorkerPool(workers int) *workerPool {
+	p := &workerPool{work: make(chan int)}
 	for w := 0; w < workers; w++ {
 		go func() {
-			for sh := range p.work {
-				p.run(sh)
+			for k := range p.work {
+				p.task(k)
 				p.wg.Done()
 			}
 		}()
@@ -656,13 +447,15 @@ func newShardPool(workers int, run func(*shardCtx)) *shardPool {
 	return p
 }
 
-// dispatch feeds every shard to the pool and blocks until all complete.
-func (p *shardPool) dispatch(shards []*shardCtx) {
-	p.wg.Add(len(shards))
-	for _, sh := range shards {
-		p.work <- sh
+// dispatch runs task(k) for every k in [0, n) on the workers and blocks
+// until all complete.
+func (p *workerPool) dispatch(n int, task func(int)) {
+	p.task = task
+	p.wg.Add(n)
+	for k := 0; k < n; k++ {
+		p.work <- k
 	}
 	p.wg.Wait()
 }
 
-func (p *shardPool) close() { close(p.work) }
+func (p *workerPool) close() { close(p.work) }

@@ -14,9 +14,9 @@ import (
 )
 
 // newTestSharded builds a one-per-group campus population behind the
-// sharded pipeline, mirroring newTestPipeline.
+// region-shaped pipeline, mirroring newTestPipeline.
 func newTestSharded(t *testing.T, seed int64, dropProb float64, churnProbs [2]float64,
-	workers int, newFilter func() (filter.Filter, error)) *Sharded {
+	workers int, newFilter func() (filter.Filter, error)) *Pipeline {
 	t.Helper()
 	world := campus.New()
 	streams := sim.NewStreams(seed)
@@ -32,7 +32,7 @@ func newTestSharded(t *testing.T, seed int64, dropProb float64, churnProbs [2]fl
 	if churnProbs[0] > 0 || churnProbs[1] > 0 {
 		churn = NewChurn(churnProbs[0], churnProbs[1], streams.Stream("churn"))
 	}
-	return &Sharded{
+	return &Pipeline{
 		Nodes:        nodes,
 		Net:          net,
 		NewFilter:    newFilter,
@@ -58,7 +58,7 @@ func adfFactory() (filter.Filter, error) {
 // keyed gateway drops and the keyed churn timeline, light sequential
 // streams for mobility.
 func newTestShardedKeyed(t *testing.T, seed int64, dropProb float64, churnProbs [2]float64,
-	workers int, newFilter func() (filter.Filter, error)) *Sharded {
+	workers int, newFilter func() (filter.Filter, error)) *Pipeline {
 	t.Helper()
 	world := campus.New()
 	streams := sim.NewLightStreams(seed)
@@ -75,7 +75,7 @@ func newTestShardedKeyed(t *testing.T, seed int64, dropProb float64, churnProbs 
 	if churnProbs[0] > 0 || churnProbs[1] > 0 {
 		churnK = NewKeyedChurn(churnProbs[0], churnProbs[1], keyed)
 	}
-	return &Sharded{
+	return &Pipeline{
 		Nodes:        nodes,
 		Net:          net,
 		NewFilter:    newFilter,
@@ -88,9 +88,9 @@ func newTestShardedKeyed(t *testing.T, seed int64, dropProb float64, churnProbs 
 }
 
 // worldDigest folds the state both pipeline shapes share — node
-// positions, broker DBs and counters, churn population — so classic and
-// sharded runs can be compared even though their full StateDigest
-// formats differ (the sharded one also folds shard membership).
+// positions, broker DBs and counters, churn population — so global and
+// region runs can be compared even though their full StateDigests
+// differ (each folds its own shard labels and membership).
 func worldDigest(nodes []*node.Node, noLE, withLE *broker.Broker, churn *Churn) uint64 {
 	absent := -1
 	if churn != nil {
@@ -118,42 +118,20 @@ func worldDigestAbsent(nodes []*node.Node, noLE, withLE *broker.Broker, absent i
 	return d.Sum()
 }
 
-// TestShardedMatchesClassicState: for a per-node filter the sharded
-// pipeline must be bit-identical to the classic sequential Pipeline —
-// same node positions, same broker beliefs, same counters — tick for
-// tick. Drops and churn are on so every stage participates.
+// TestShardedMatchesClassicState: for a per-node filter the region
+// shape must be bit-identical to the global shape — same node
+// positions, same broker beliefs, same counters — tick for tick. Drops
+// and churn are on so every stage participates.
 func TestShardedMatchesClassicState(t *testing.T) {
 	const ticks = 60
 	churnProbs := [2]float64{0.02, 0.3}
 
-	classic := newTestPipeline(t, 0.3, nil)
-	{
-		// Rebuild with the same seed newTestSharded uses, plus churn and
-		// the matching per-node filter.
-		world := campus.New()
-		streams := sim.NewStreams(11)
-		nodes, err := node.Population(campus.PopulationN(world, 1), world, streams)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net, err := gateway.NewNetwork(world, 0.3, streams)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := generalDFFactory()
-		if err != nil {
-			t.Fatal(err)
-		}
-		classic = &Pipeline{
-			Nodes:        nodes,
-			Net:          net,
-			Filter:       f,
-			NoLE:         broker.New(nil),
-			WithLE:       broker.New(nil),
-			Churn:        NewChurn(churnProbs[0], churnProbs[1], streams.Stream("churn")),
-			SamplePeriod: 1,
-		}
+	classic := newTestSharded(t, 11, 0.3, churnProbs, 0, nil)
+	f, err := generalDFFactory()
+	if err != nil {
+		t.Fatal(err)
 	}
+	classic.Filter = f
 	sharded := newTestSharded(t, 11, 0.3, churnProbs, 1, generalDFFactory)
 	defer sharded.Close()
 
@@ -212,11 +190,11 @@ func TestShardedWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedKeyedMatchesClassicState: in the keyed RNG mode the
-// sharded pipeline must still match the classic one bit for bit, even
-// though the churn timeline is partitioned per shard there and globally
-// in the classic pipeline — keyed draws depend only on the node, never
-// on the partition or processing order.
+// TestShardedKeyedMatchesClassicState: in the keyed RNG mode the region
+// shape must still match the global shape bit for bit, even though the
+// churn timeline is partitioned per region there and held in one
+// partition by the global shard — keyed draws depend only on the node,
+// never on the partition or processing order.
 func TestShardedKeyedMatchesClassicState(t *testing.T) {
 	const (
 		ticks = 60
@@ -248,6 +226,7 @@ func TestShardedKeyedMatchesClassicState(t *testing.T) {
 		WithLE:       broker.New(nil),
 		ChurnK:       NewKeyedChurn(churnProbs[0], churnProbs[1], keyed),
 		SamplePeriod: 1,
+		Workers:      2,
 	}
 	sharded := newTestShardedKeyed(t, seed, drop, churnProbs, 2, generalDFFactory)
 	defer sharded.Close()
@@ -428,8 +407,8 @@ func TestShardedMigration(t *testing.T) {
 	}
 }
 
-// TestShardedObserverEvents: the merge step must replay exactly the
-// event multiset the classic pipeline emits.
+// TestShardedObserverEvents: the region shape's merge step must replay
+// exactly the event multiset the global shape emits.
 func TestShardedObserverEvents(t *testing.T) {
 	obs := &countingObserver{}
 	p := newTestSharded(t, 7, 0, [2]float64{}, 2, func() (filter.Filter, error) {

@@ -121,6 +121,44 @@ func TestWorkersExcludedFromFingerprint(t *testing.T) {
 	}
 }
 
+// TestShardWorkersShapeFingerprint checks the cache key keeps only the
+// engine shape of ShardWorkers: every count >= 1 runs the region shape
+// with bit-identical results, so a campaign at 4 workers is served by
+// the one at 1 without running a simulation.
+func TestShardWorkersShapeFingerprint(t *testing.T) {
+	ResetCampaignCache()
+	defer ResetCampaignCache()
+
+	cfg := shortConfig()
+	cfg.Duration = 100
+	cfg.ShardWorkers = 1
+	before := SimulationCount()
+	first, err := cfg.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ShardWorkers = 4
+	second, err := cfg.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(1 + len(cfg.DTHFactors))
+	if d := SimulationCount() - before; d != want {
+		t.Errorf("ShardWorkers 1 then 4 executed %d simulations, want %d", d, want)
+	}
+	if first != second {
+		t.Errorf("ShardWorkers=1 and ShardWorkers=4 campaigns did not share a cache entry")
+	}
+	cfg.ShardWorkers = 0
+	global, err := cfg.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if global == first {
+		t.Errorf("the global shape shared the region shape's cache entry")
+	}
+}
+
 // TestFiguresShareOneCampaign is the acceptance check for the memoizing
 // runner: regenerating figures 4–9 and the energy budget costs exactly one
 // campaign — 1 + len(DTHFactors) simulations in total.

@@ -69,19 +69,13 @@ type Config struct {
 	// 1 forces sequential execution. It never changes results — each run
 	// owns private random streams — only the execution schedule.
 	Workers int
-	// MobilityWorkers > 1 shards each simulation's mobility-advance stage
-	// over that many goroutines (engine.Pipeline.MobilityWorkers). Every
-	// node draws from a private RNG stream, so results are bit-for-bit
-	// identical at any worker count; only the execution schedule changes.
-	MobilityWorkers int
-	// ShardWorkers > 0 replaces the classic whole-tick pipeline with the
-	// region-sharded one (engine.Sharded): every stage past mobility
-	// advance runs shard-locally per campus region on that many workers,
-	// merged deterministically in ascending region-ID order. 1 is the
-	// sequential sharded reference; any count produces bit-identical
-	// results to it. 0 keeps engine.Pipeline. Note the ADF filter is
-	// instantiated per shard, so its clustering is region-scoped here
-	// (DESIGN.md "Sharded pipeline").
+	// ShardWorkers selects the engine's shape. 0 is the global shape: one
+	// filter over the whole campus, the paper's campus-wide clustering.
+	// N >= 1 is the region shape on N workers: every stage past mobility
+	// advance runs shard-locally per campus region, merged
+	// deterministically in ascending region-ID order, and the ADF is
+	// instantiated per region, so its clustering is region-scoped
+	// (DESIGN.md "Engine"). Every N >= 1 gives bit-identical results.
 	ShardWorkers int
 	// RNGMode selects the random stream class (DESIGN.md "RNG stream
 	// classes"). Empty or RNGSequential keeps the classic per-entity
@@ -225,9 +219,6 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("experiment: negative Workers %d", c.Workers)
 	}
-	if c.MobilityWorkers < 0 {
-		return fmt.Errorf("experiment: negative MobilityWorkers %d", c.MobilityWorkers)
-	}
 	if c.ShardWorkers < 0 {
 		return fmt.Errorf("experiment: negative ShardWorkers %d", c.ShardWorkers)
 	}
@@ -357,38 +348,10 @@ func PopulationMeanSpeed(specs []campus.NodeSpec) float64 {
 // inputs, are directly comparable, and can execute concurrently with
 // other runs without changing results.
 func (c Config) runFilter(mk filterFactory) (*Run, error) {
-	if c.ShardWorkers > 0 {
-		return c.runFilterSharded(mk)
-	}
-	pipeline, run, f, err := c.buildRun(mk)
+	p, run, err := c.buildRun(mk)
 	if err != nil {
 		return nil, err
 	}
-
-	simulations.Add(1)
-	if err := pipeline.Run(sim.New(), c.Duration); err != nil {
-		return nil, err
-	}
-
-	if adf, ok := f.(*core.ADF); ok {
-		run.FinalClusters = adf.ClusterCount()
-	}
-	// Pre-sort the quantile summaries so a memoized Run shared across
-	// callers can be read concurrently without further mutation.
-	_ = run.ErrNoLE.Max()
-	_ = run.ErrWithLE.Max()
-	return run, nil
-}
-
-// runFilterSharded is runFilter on the region-sharded pipeline. The
-// filter is instantiated once per shard, so the ADF cluster summary is
-// the sum over the per-region filters.
-func (c Config) runFilterSharded(mk filterFactory) (*Run, error) {
-	p, run, err := c.buildSharded(mk)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
 
 	simulations.Add(1)
 	if err := p.Run(sim.New(), c.Duration); err != nil {
@@ -400,12 +363,14 @@ func (c Config) runFilterSharded(mk filterFactory) (*Run, error) {
 			run.FinalClusters += adf.ClusterCount()
 		}
 	}
+	// Pre-sort the quantile summaries so a memoized Run shared across
+	// callers can be read concurrently without further mutation.
 	_ = run.ErrNoLE.Max()
 	_ = run.ErrWithLE.Max()
 	return run, nil
 }
 
-// simWorld bundles the simulation pieces both pipeline shapes share:
+// simWorld bundles the simulation pieces both engine shapes share:
 // the campus population, the gateway network, the broker pair, churn
 // and the Run record with its pre-sized metric sinks.
 type simWorld struct {
@@ -422,69 +387,34 @@ type simWorld struct {
 }
 
 // buildRun wires one simulation: the filter under test, the campus
-// population, gateways, brokers, metric sinks and the staged pipeline.
-// Callers that need tick-level control (benchmarks, allocation tests)
-// drive the returned pipeline directly; runFilter executes it to the
-// horizon.
-func (c Config) buildRun(mk filterFactory) (*engine.Pipeline, *Run, filter.Filter, error) {
+// population, gateways, brokers, metric sinks and the staged pipeline, in
+// the shape ShardWorkers selects. The global shape gets one filter
+// instance; the region shape gets the factory, so every region shard
+// builds its own and no filter state is shared across regions. Callers
+// that need tick-level control (benchmarks, allocation tests, digest
+// comparisons) drive the returned pipeline directly; runFilter executes
+// it to the horizon.
+func (c Config) buildRun(mk filterFactory) (*engine.Pipeline, *Run, error) {
 	if err := c.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	f, name, factor, err := mk()
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	w, err := c.buildWorld(name, factor)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if pa, ok := f.(filter.Preallocator); ok {
-		pa.Preallocate(w.idSpan)
-	}
-	pipeline := &engine.Pipeline{
-		Nodes:           w.nodes,
-		Net:             w.net,
-		Filter:          f,
-		NoLE:            w.noLE,
-		WithLE:          w.withLE,
-		Churn:           w.churn,
-		ChurnK:          w.churnK,
-		SamplePeriod:    c.SamplePeriod,
-		MobilityWorkers: c.MobilityWorkers,
-		Observers:       c.observers(w.run),
-	}
-	return pipeline, w.run, f, nil
-}
-
-// buildSharded wires one simulation behind the region-sharded pipeline.
-// The factory is probed once for the run's name and factor, then every
-// shard builds its own filter instance through NewFilter, so no filter
-// state is shared across regions.
-func (c Config) buildSharded(mk filterFactory) (*engine.Sharded, *Run, error) {
-	if err := c.Validate(); err != nil {
-		return nil, nil, err
-	}
-	_, name, factor, err := mk()
-	if err != nil {
 		return nil, nil, err
 	}
 	w, err := c.buildWorld(name, factor)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &engine.Sharded{
-		Nodes: w.nodes,
-		Net:   w.net,
-		NewFilter: func() (filter.Filter, error) {
-			f, _, _, err := mk()
-			if err != nil {
-				return nil, err
-			}
-			if pa, ok := f.(filter.Preallocator); ok {
-				pa.Preallocate(w.idSpan)
-			}
-			return f, nil
-		},
+	prealloc := func(f filter.Filter) filter.Filter {
+		if pa, ok := f.(filter.Preallocator); ok {
+			pa.Preallocate(w.idSpan)
+		}
+		return f
+	}
+	p := &engine.Pipeline{
+		Nodes:        w.nodes,
+		Net:          w.net,
 		NoLE:         w.noLE,
 		WithLE:       w.withLE,
 		Churn:        w.churn,
@@ -492,6 +422,17 @@ func (c Config) buildSharded(mk filterFactory) (*engine.Sharded, *Run, error) {
 		SamplePeriod: c.SamplePeriod,
 		Workers:      c.ShardWorkers,
 		Observers:    c.observers(w.run),
+	}
+	if c.ShardWorkers == 0 {
+		p.Filter = prealloc(f)
+	} else {
+		p.NewFilter = func() (filter.Filter, error) {
+			f, _, _, err := mk()
+			if err != nil {
+				return nil, err
+			}
+			return prealloc(f), nil
+		}
 	}
 	return p, w.run, nil
 }
@@ -505,8 +446,8 @@ func (c Config) observers(run *Run) engine.Observers {
 	}
 }
 
-// buildWorld constructs the pipeline-shape-independent simulation world
-// for one run.
+// buildWorld constructs the shape-independent simulation world for one
+// run.
 func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
 	world := campus.New()
 	perGroup := c.PerGroup

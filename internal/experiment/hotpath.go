@@ -29,15 +29,8 @@ type HotpathStats struct {
 	TotalLU             float64 `json:"total_lu"`
 }
 
-// tickRunner is the tick-level surface both pipeline shapes share.
-type tickRunner interface {
-	Tick(now float64) error
-	Close()
-}
-
-// MeasureHotpath executes one ADF run (DTH factor 1.0) under c —
-// through the classic pipeline, or the region-sharded one when
-// c.ShardWorkers > 0 — and reports its end-to-end throughput: virtual
+// MeasureHotpath executes one ADF run (DTH factor 1.0) under c — in
+// the engine shape c.ShardWorkers selects — and reports its end-to-end throughput: virtual
 // ticks per wall-clock second, nanoseconds per tick and heap
 // allocations per tick (runtime.MemStats.Mallocs deltas). The whole
 // simulation is timed, setup and summary sorting included, matching the
@@ -63,22 +56,9 @@ func (c Config) MeasureHotpath() (HotpathStats, error) {
 	runtime.ReadMemStats(&before)
 	start := time.Now() //adf:allow determinism — measures wall-clock throughput, not simulation state
 
-	var (
-		loop tickRunner
-		run  *Run
-	)
-	if c.ShardWorkers > 0 {
-		p, r, err := c.buildSharded(c.adfFactory(1.0))
-		if err != nil {
-			return HotpathStats{}, err
-		}
-		loop, run = p, r
-	} else {
-		p, r, _, err := c.buildRun(c.adfFactory(1.0))
-		if err != nil {
-			return HotpathStats{}, err
-		}
-		loop, run = p, r
+	loop, run, err := c.buildRun(c.adfFactory(1.0))
+	if err != nil {
+		return HotpathStats{}, err
 	}
 	defer loop.Close()
 	simulations.Add(1)

@@ -36,7 +36,7 @@ func TestValidateRejectsBadRNGModeAndNegativeShardWorkers(t *testing.T) {
 
 // TestKeyedModeRunsBothPipelineShapes drives a short keyed-mode run —
 // with churn and gateway drops on, so every keyed draw site fires —
-// through the classic and the sharded pipeline.
+// through the global and the region shape.
 func TestKeyedModeRunsBothPipelineShapes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 60
@@ -61,6 +61,7 @@ func TestKeyedModeRunsBothPipelineShapes(t *testing.T) {
 // functions of (node, tick).
 func TestKeyedModeShardDigestsAgree(t *testing.T) {
 	cfg := DefaultConfig()
+	cfg.ShardWorkers = 1
 	cfg.Duration = 40
 	cfg.RNGMode = RNGKeyed
 	cfg.Churn = &ChurnConfig{LeaveProb: 0.02, RejoinProb: 0.3}
@@ -77,6 +78,7 @@ func TestKeyedModeShardDigestsAgree(t *testing.T) {
 // chain's keyed draws under the same oracle.
 func TestKeyedModeBurstDigestsAgree(t *testing.T) {
 	cfg := DefaultConfig()
+	cfg.ShardWorkers = 1
 	cfg.Duration = 30
 	cfg.RNGMode = RNGKeyed
 	cfg.Burst = &gateway.BurstConfig{PEnterOutage: 0.05, PExitOutage: 0.2, DropUp: 0.02, DropDown: 1}

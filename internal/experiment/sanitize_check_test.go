@@ -27,12 +27,12 @@ func TestSanitizedCampaignRun(t *testing.T) {
 }
 
 // TestSequentialParallelDigestsMatchSanitized is the acceptance pairing
-// of the sanitizer with the digest comparison: sequential vs
-// MobilityWorkers>1, bit-identical per tick, all invariants armed.
+// of the sanitizer with the digest comparison: the global shape at 1 and
+// 4 workers, bit-identical per tick, all invariants armed.
 func TestSequentialParallelDigestsMatchSanitized(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 60
-	ticks, err := cfg.CompareTickDigests(4)
+	ticks, err := cfg.CompareShardDigests([]int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

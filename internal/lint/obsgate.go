@@ -10,11 +10,11 @@ import (
 //
 //   - no wall-clock reads: time.Now, time.Since and time.Until are
 //     forbidden — request timing must flow through the shared obs clock
-//     (obs.RPCClock / obs.StageClock), whose zero return token makes
+//     (obs.RPCClock / obs.StageStart), whose zero return token makes
 //     every downstream recording a no-op when observability is off, so
 //     a disabled run never pays for a clock read;
 //   - every obs recording call site (Emit, ObserveRPC, ObserveFreshness,
-//     RecordRPC, RecordSpan, RecordShardSpan, RecordTickSpans) must sit
+//     RecordRPC, RecordSpan, RecordShardSpan) must sit
 //     lexically inside an if statement whose condition checks the
 //     enable gate: a call named Enabled, On, Verbose or Valid, or a
 //     comparison against the literal 0 (the clock-token idiom
@@ -31,16 +31,16 @@ var ObsGate = &Analyzer{
 (internal/hla, internal/wire).
 
 Wall clock: time.Now, time.Since and time.Until are forbidden. Take
-timestamps with obs.RPCClock() / obs.StageClock(start) instead: they
+timestamps with obs.RPCClock() / obs.StageStart() instead: they
 return 0 when observability is disabled, and a zero start token turns
 the whole downstream Observe/Record chain into no-ops, which is what
 keeps the disabled hot path zero-cost.
 
 Recording: a call named Emit, ObserveRPC, ObserveFreshness, RecordRPC,
-RecordSpan, RecordShardSpan or RecordTickSpans must be lexically inside
-an if whose condition consults the gate — a call named Enabled, On,
-Verbose or Valid, or a comparison against the literal 0 (the clock-token
-idiom: if start != 0 { ... }). The else branch of a zero test counts;
+RecordSpan or RecordShardSpan must be lexically inside an if whose
+condition consults the gate — a call named Enabled, On, Verbose or
+Valid, or a comparison against the literal 0 (the clock-token idiom:
+if start != 0 { ... }). The else branch of a zero test counts;
 code after an early 'if start == 0 { return }' does not — keep the gate
 visibly enclosing the recording.
 
@@ -56,7 +56,6 @@ var obsRecordingNames = map[string]bool{
 	"RecordRPC":        true,
 	"RecordSpan":       true,
 	"RecordShardSpan":  true,
-	"RecordTickSpans":  true,
 }
 
 // obsGateCallNames are condition calls that count as consulting the
@@ -92,7 +91,7 @@ func checkObsGates(p *ModulePass, pkg *Package, fn *ast.FuncDecl) {
 		if obj := staticCallee(pkg, call); obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "time" {
 			switch obj.Name() {
 			case "Now", "Since", "Until":
-				p.Reportf(call.Pos(), "time.%s in an obs-gated package in %s: take timestamps through the shared obs clock (obs.RPCClock / obs.StageClock), whose zero token keeps disabled runs free of recording cost — or //adf:allow obsgate with a reason", obj.Name(), funcDisplayName(fn))
+				p.Reportf(call.Pos(), "time.%s in an obs-gated package in %s: take timestamps through the shared obs clock (obs.RPCClock / obs.StageStart), whose zero token keeps disabled runs free of recording cost — or //adf:allow obsgate with a reason", obj.Name(), funcDisplayName(fn))
 				return
 			}
 		}

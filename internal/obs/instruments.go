@@ -117,17 +117,17 @@ var (
 	FilterDTH = Default.Histogram("adf_filter_dth_meters", MetersBounds)
 )
 
-// ShardSeconds returns the per-region latency histogram for one shard's
-// worker stage in the sharded pipeline, so a skewed region (one campus
-// road carrying most of the population) is visible per shard rather
-// than folded into the aggregate "shard" stage series.
+// ShardSeconds returns the latency histogram for one shard's stage,
+// labelled with the shard's region (or "campus" for the global shape's
+// one shard), so a skewed region (one campus road carrying most of the
+// population) is visible per shard rather than folded into the
+// aggregate "shard" stage series.
 func ShardSeconds(region string) *Histogram {
 	return Default.Histogram("adf_shard_seconds", StageSecondsBounds, "region", region)
 }
 
-// ShardNodes returns the gauge of nodes currently owned by a region
-// shard, updated by the sharded engine after each tick's migration
-// handoff.
+// ShardNodes returns the gauge of nodes currently owned by a shard,
+// updated by the engine after each tick's migration handoff.
 func ShardNodes(region string) *Gauge {
 	return Default.Gauge("adf_shard_nodes", "region", region)
 }

@@ -13,23 +13,22 @@ import (
 type Stage int
 
 const (
-	// StageAdvance is the mobility-advance stage (parallel when
-	// MobilityWorkers > 1).
+	// StageAdvance is the mobility-advance stage (parallel when the
+	// pipeline has Workers > 1).
 	StageAdvance Stage = iota
-	// StageNodes is the sequential per-node chain: churn, collect,
-	// filter, deliver.
+	// StageNodes is the churn prepass plus the shard stage: every
+	// shard's collect → filter → deliver chain.
 	StageNodes
 	// StageObservers is the OnTick fan-out to the metric sinks.
 	StageObservers
 	// StageTick is the whole sampling round.
 	StageTick
-	// StageShard is one region shard's stage chain in the sharded
-	// pipeline (churn-gated collect → filter → broker delivery over the
-	// shard's members).
+	// StageShard is one shard's stage chain (churn-gated collect →
+	// filter → broker delivery over the shard's members).
 	StageShard
-	// StageMerge is the sharded pipeline's deterministic merge step:
-	// observer replay, tally folding and migration handoff in stable
-	// shard order.
+	// StageMerge is the pipeline's deterministic merge step: observer
+	// replay, tally folding and migration handoff in stable shard
+	// order.
 	StageMerge
 	// numStages sizes stage-indexed arrays.
 	numStages
@@ -106,54 +105,6 @@ func StageEnd(tid uint32, s Stage, start int64) int64 {
 	spans.record(spanRecord{stage: s, tid: tid, shard: -1, startNS: start, durNS: end - start})
 	stageSeconds[s].observe(float64(end-start) / 1e9)
 	return end
-}
-
-// StageClock reads the wall clock for the next link of a span chain
-// opened with StageStart, or returns 0 when the chain's start token is
-// 0 (observability was off). Unlike StageEnd it records nothing and
-// re-checks no atomics — the start token is the gate — so a tick can
-// read its stage boundaries at minimal cost and publish them in one
-// RecordTickSpans batch.
-func StageClock(start int64) int64 {
-	if start == 0 {
-		return 0
-	}
-	return nowNanos()
-}
-
-// RecordTickSpans publishes one tick's whole stage chain — advance,
-// nodes, observers and the enclosing tick span — under a single ring
-// lock acquisition, replacing three StageEnd calls and a RecordSpan
-// (four lock/unlock pairs and four atomic gate loads) on the engine's
-// per-tick path. Boundaries come from one StageStart and three
-// StageClock reads; a zero t0 means the chain was never opened.
-func RecordTickSpans(tid uint32, t0, t1, t2, t3 int64) {
-	if t0 == 0 || t1 < t0 || t2 < t1 || t3 < t2 || !on.Load() {
-		return
-	}
-	stageSeconds[StageAdvance].observe(float64(t1-t0) / 1e9)
-	stageSeconds[StageNodes].observe(float64(t2-t1) / 1e9)
-	stageSeconds[StageObservers].observe(float64(t3-t2) / 1e9)
-	stageSeconds[StageTick].observe(float64(t3-t0) / 1e9)
-	recs := [4]spanRecord{
-		{stage: StageAdvance, tid: tid, shard: -1, startNS: t0, durNS: t1 - t0},
-		{stage: StageNodes, tid: tid, shard: -1, startNS: t1, durNS: t2 - t1},
-		{stage: StageObservers, tid: tid, shard: -1, startNS: t2, durNS: t3 - t2},
-		{stage: StageTick, tid: tid, shard: -1, startNS: t0, durNS: t3 - t0},
-	}
-	spans.mu.Lock()
-	if spans.records == nil {
-		spans.records = make([]spanRecord, spanRingCap)
-	}
-	for _, rec := range recs {
-		spans.records[spans.next] = rec
-		spans.next++
-		if spans.next == len(spans.records) {
-			spans.next = 0
-			spans.wrapped = true
-		}
-	}
-	spans.mu.Unlock()
 }
 
 // RecordSpan records a span with explicit endpoints (used for the

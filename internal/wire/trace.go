@@ -109,9 +109,35 @@ func ReadFrameTC(r io.Reader) ([]byte, TraceContext, error) {
 		}
 		tc = decodeTC(ext[1:])
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return nil, TraceContext{}, fmt.Errorf("wire: read frame payload: %w", err)
 	}
 	return payload, tc, nil
+}
+
+// payloadChunk bounds what a frame header alone can make the reader
+// allocate: payloads up to this size are read into an exact buffer,
+// larger ones into a buffer that starts here and doubles (capped at the
+// claimed size) only as the bytes actually arrive. A forged header
+// claiming MaxFrameSize therefore costs 32 KiB, not 16 MiB, unless the
+// peer really sends the bytes.
+const payloadChunk = 32 << 10
+
+// readPayload reads exactly n payload bytes from r.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, payloadChunk))
+	for off := 0; ; {
+		m, err := io.ReadFull(r, buf[off:])
+		if err != nil {
+			return nil, err
+		}
+		off += m
+		if off == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(2*len(buf), n))
+		copy(grown, buf)
+		buf = grown
+	}
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -110,6 +112,34 @@ func TestTraceContextValid(t *testing.T) {
 	for _, c := range cases {
 		if got := c.tc.Valid(); got != c.want {
 			t.Errorf("Valid(%+v) = %v, want %v", c.tc, got, c.want)
+		}
+	}
+}
+
+// TestReadFrameForgedSizeBounded pins the payload bound: a header that
+// claims MaxFrameSize, followed by 8 bytes and EOF, must fail without
+// sizing an allocation from the claim. Reading once allocated the full
+// 16 MiB before the first payload byte arrived.
+func TestReadFrameForgedSizeBounded(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		var frame []byte
+		if traced {
+			frame = binary.BigEndian.AppendUint32(frame, tcFlag|MaxFrameSize)
+			frame = append(frame, tcVersion)
+			frame = append(frame, make([]byte, tcSize)...)
+		} else {
+			frame = binary.BigEndian.AppendUint32(frame, MaxFrameSize)
+		}
+		frame = append(frame, make([]byte, 8)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		payload, _, err := ReadFrameTC(bytes.NewReader(frame))
+		runtime.ReadMemStats(&after)
+		if err == nil || payload != nil {
+			t.Errorf("traced=%v: truncated forged frame read (%d bytes, err %v)", traced, len(payload), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("traced=%v: forged header allocated %d bytes, want at most 64 KiB", traced, grew)
 		}
 	}
 }

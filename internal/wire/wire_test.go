@@ -18,6 +18,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		[]byte("hello"),
 		{},
 		bytes.Repeat([]byte{0xAB}, 10000),
+		// Past payloadChunk the reader grows its buffer as bytes arrive.
+		bytes.Repeat([]byte{0xCD}, payloadChunk+1),
+		bytes.Repeat([]byte{0xEF}, MaxFrameSize),
 	}
 	for _, p := range payloads {
 		if err := WriteFrame(&buf, p); err != nil {
